@@ -128,8 +128,7 @@ class _IQClientBase:
     """
 
     def __init__(self, client, connection_factory, mode=AcquisitionMode.DURING,
-                 backoff=None, clock=None, degraded_fallback=True,
-                 batch_leases=True):
+                 backoff=None, clock=None, degraded_fallback=True):
         self.client = client
         self.connection_factory = connection_factory
         self.mode = mode
@@ -137,11 +136,6 @@ class _IQClientBase:
             client, connection_factory, backoff=backoff, clock=clock
         )
         self.degraded_fallback = degraded_fallback
-        #: Acquire a session's invalidation Q leases with one batched
-        #: ``qar_many`` instead of per-key round trips (see
-        #: :meth:`_batch_acquire`).  Semantics are identical; turn off to
-        #: force the historical per-key path.
-        self.batch_leases = batch_leases
         # Degraded-mode accounting.  These counters are hit from every BG
         # worker thread, so they live in a metrics registry (whose
         # counters carry their own locks) rather than as bare attributes
@@ -285,9 +279,9 @@ class _IQClientBase:
         """Acquire the invalidation Q leases for ``changes`` in one batch.
 
         Returns True when the batch path handled the whole acquisition;
-        False asks the caller to run its per-key loop instead (batching
-        disabled, fewer than two keys, or the backend could not run the
-        batch at all).  Per-key outcomes map exactly onto the sequential
+        False asks the caller to run its per-key loop instead (fewer
+        than two keys, or the backend could not run the batch at all).
+        Per-key outcomes map exactly onto the sequential
         semantics: a grant continues, a Q-Q incompatibility raises
         :class:`~repro.errors.QuarantinedError` (restart, Figure 5a/5b
         unchanged -- the server stops at the first reject just like a
@@ -295,7 +289,7 @@ class _IQClientBase:
         individually (queued on ``pending``, journaled only after
         ``commit_sql``) while the rest of the batch proceeds.
         """
-        if not self.batch_leases or len(changes) < 2:
+        if len(changes) < 2:
             return False
         by_key = {change.key: change for change in changes}
         try:

@@ -174,6 +174,17 @@ class PipelineOverflowError(ProtocolError):
     """
 
 
+class ServerReplyError(ReproError):
+    """The server answered a command with ``SERVER_ERROR``/``CLIENT_ERROR``.
+
+    The reply was read completely, so the connection stays usable and
+    the command must not be retried: the server refused it, it did not
+    lose it.  ``CLIENT_ERROR`` replies that report a bad key, value or
+    size surface as the :class:`KeyFormatError` / :class:`BadValueError`
+    / :class:`ValueTooLargeError` the in-process server raises instead.
+    """
+
+
 # ---------------------------------------------------------------------------
 # Cache availability errors
 # ---------------------------------------------------------------------------

@@ -3,11 +3,14 @@
 The paper's IQ-Twemcached is a network server spoken to by a modified
 Whalin client.  This package provides the equivalent end-to-end path:
 
-* :mod:`repro.net.protocol` -- request/response framing: the standard
-  memcached text commands (``get``, ``set``, ``cas``, ``delete``,
-  ``incr`` ...) plus the IQ extension commands (``iqget``, ``iqset``,
-  ``qaread``, ``sar``, ``genid``, ``qar``, ``dar``, ``iqdelta``,
-  ``commit``, ``abort``);
+* :mod:`repro.net.commands` -- the command table: one record per wire
+  command (the standard memcached text commands ``get``, ``set``,
+  ``cas``, ``delete``, ``incr`` ... plus the IQ extensions ``iqget``,
+  ``iqset``, ``qaread``, ``sar``, ``genid``, ``qar``, ``dar``,
+  ``iqdelta``, ``commit``, ``abort`` ...) from which the clients'
+  methods and the servers' dispatch are derived;
+* :mod:`repro.net.protocol` -- request/response framing shared by all
+  of them;
 * :mod:`repro.net.server` -- a threaded TCP server exposing an
   :class:`~repro.core.iq_server.IQServer` (the reference transport);
 * :mod:`repro.net.async_server` -- the event-loop transport: one thread

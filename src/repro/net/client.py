@@ -9,12 +9,13 @@ one socket; it is protected by a lock so several threads may share it
 thread performs better (see :class:`repro.net.resilient.ResilientIQServer`,
 which pools connections).
 
-Every command is factored into a *builder* (produces the request line,
-optional data block, and a receiver) and a *receiver* (parses exactly one
-reply off the stream).  The single-command path sends one frame and runs
-one receiver; :class:`Pipeline` queues many builders, sends all frames in
-one write, then runs the receivers in request order -- N commands for one
-round trip.
+No command is spelled out here: the public methods are generated from
+the records of :mod:`repro.net.commands`.  A record *encodes* the
+request line and optional data block and *parses* exactly one reply off
+the stream.  The single-command path sends one frame and parses one
+reply; :class:`Pipeline` queues many frames, sends them in one write,
+then parses the replies in request order -- N commands for one round
+trip.
 """
 
 import socket
@@ -22,23 +23,31 @@ import threading
 
 from repro.errors import (
     ConnectionLostError,
+    KVSError,
     OperationTimeout,
     ProtocolError,
     QuarantinedError,
+    ServerReplyError,
 )
 from repro.core.backend import LeaseBackend
-from repro.core.iq_server import IQGetResult, QaReadResult
-from repro.kvs.store import ClockGetResult, StoreResult
+from repro.net import commands
 from repro.net.protocol import (
     CRLF,
-    SESSION_TOKEN_PREFIX,
+    ERROR_PREFIXES,
     TRACE_TOKEN_PREFIX,
     LineReader,
+    reply_error,
 )
 from repro.obs.trace import current_trace_id, get_tracer
 
 
-class RemoteIQServer(LeaseBackend):
+#: Raised by a command whose reply was nevertheless read completely: the
+#: stream is still in step, so a pipeline files them in the result slot.
+REFUSALS = (QuarantinedError, KVSError, ServerReplyError)
+
+
+class RemoteIQServer(commands.surface("_execute", skip_empty=True),
+                     LeaseBackend):
     """Client-side stub for a networked IQ-Twemcached.
 
     A socket error or timeout mid-exchange leaves the framed stream
@@ -74,6 +83,8 @@ class RemoteIQServer(LeaseBackend):
         self._lock = threading.Lock()
         self._injector = injector
         self._broken = False
+        #: verb whose reply is being read (names it in a poison report)
+        self._doing = None
         self._tracer = get_tracer()
 
     @property
@@ -100,11 +111,7 @@ class RemoteIQServer(LeaseBackend):
 
     def _poison(self, exc, doing):
         """Mark the connection dead and raise the typed failure."""
-        self._broken = True
-        try:
-            self._sock.close()
-        except OSError:
-            pass
+        self.mark_broken()
         if self._tracer.active:
             self._tracer.emit("net.poison", command=doing,
                               error=type(exc).__name__)
@@ -116,7 +123,7 @@ class RemoteIQServer(LeaseBackend):
             "connection lost while {}: {}".format(doing, exc)
         ) from exc
 
-    def _mark_broken(self):
+    def mark_broken(self):
         """Poison without raising (the caller raises its own error)."""
         self._broken = True
         try:
@@ -167,21 +174,23 @@ class RemoteIQServer(LeaseBackend):
         if self._injector is not None:
             self._inject_after_send(doing)
 
-    def _read_line(self, doing):
+    def read_line(self):
+        """One reply line of the command being received (for parsers)."""
         try:
             return self._reader.read_line()
         except (OSError, ConnectionError) as exc:
-            self._poison(exc, doing)
+            self._poison(exc, self._doing)
 
-    def _read_bytes(self, count, doing):
+    def read_bytes(self, count):
+        """One announced data block of the command being received."""
         try:
             return self._reader.read_bytes(count)
         except ProtocolError:
             # The stream is desynchronized; nobody may read from it again.
-            self._mark_broken()
+            self.mark_broken()
             raise
         except (OSError, ConnectionError) as exc:
-            self._poison(exc, doing)
+            self._poison(exc, self._doing)
 
     def _trace_suffix(self):
         """Trailing ``@t<id>`` token, or ``""`` outside any trace.
@@ -203,20 +212,32 @@ class RemoteIQServer(LeaseBackend):
             payload += data + CRLF
         return payload
 
-    def _execute(self, line, data, receiver):
+    def _execute(self, cmd, args):
         """Send one command frame and parse its one reply."""
-        payload = self._frame(line, data)
-        doing = line.split(" ", 1)[0]
+        payload = self._frame(*cmd.encode(*args))
         with self._lock:
-            self._send(payload, doing)
-            return receiver(doing)
+            self._send(payload, cmd.verb)
+            return self._receive(cmd, args)
+
+    def _receive(self, cmd, args):
+        """The one reply path: every reply of every command comes through.
+
+        An error reply is one complete line, so raising its typed error
+        leaves the stream in step; ``cmd.parse`` only ever sees the
+        command's own reply forms.
+        """
+        self._doing = cmd.verb
+        first = self.read_line()
+        if first.startswith(ERROR_PREFIXES):
+            raise reply_error(first)
+        return cmd.parse(self, first, args)
 
     def _execute_pipeline(self, ops):
-        """Send every queued frame in one write, then run the receivers.
+        """Send every queued frame in one write, then parse the replies.
 
-        ``ops`` is a list of ``(payload, doing, receiver)``.  Replies come
+        ``ops`` is a list of ``(payload, cmd, args)``.  Replies come
         back in request order (the server guarantees per-connection
-        ordering).  A semantic ``QuarantinedError`` consumes its reply
+        ordering).  A refusal (:data:`REFUSALS`) consumes its reply
         completely, so it is stored in the result slot and reading
         continues; any transport or framing failure poisons the whole
         connection and propagates -- the remaining replies are
@@ -225,8 +246,8 @@ class RemoteIQServer(LeaseBackend):
         with self._lock:
             self._check_usable()
             if self._injector is not None:
-                for _payload, doing, _receiver in ops:
-                    self._inject_send(doing)
+                for _payload, cmd, _args in ops:
+                    self._inject_send(cmd.verb)
             try:
                 self._sock.sendall(b"".join(op[0] for op in ops))
             except OSError as exc:
@@ -234,14 +255,14 @@ class RemoteIQServer(LeaseBackend):
             if self._injector is not None:
                 self._inject_after_send("pipeline")
             results = []
-            for _payload, doing, receiver in ops:
+            for _payload, cmd, args in ops:
                 try:
-                    results.append(receiver(doing))
-                except QuarantinedError as exc:
+                    results.append(self._receive(cmd, args))
+                except REFUSALS as exc:
                     results.append(exc)
                 except ProtocolError:
                     if not self._broken:
-                        self._mark_broken()
+                        self.mark_broken()
                     raise
             return results
 
@@ -249,432 +270,14 @@ class RemoteIQServer(LeaseBackend):
         """Return a :class:`Pipeline` batch context over this connection."""
         return Pipeline(self)
 
-    # -- reply receivers -----------------------------------------------------
-    #
-    # Each receiver parses exactly one command's reply off the stream.
-    # Closure-returning receivers bind per-command context (the key for a
-    # QuarantinedError, the expected success word).
-
-    def _recv_value_block(self, doing):
-        """First line plus, for ``VALUE`` replies, the data (END-checked)."""
-        first = self._read_line(doing)
-        if not first.startswith(b"VALUE "):
-            return first, None
-        parts = first.split()
-        size = int(parts[3])
-        value = self._read_bytes(size, doing)
-        end = self._read_line(doing)
-        if end != b"END":
-            self._mark_broken()
-            raise ProtocolError("missing END after VALUE block")
-        return first, value
-
-    def _recv_word(self, word):
-        def receive(doing):
-            return self._read_line(doing) == word
-        return receive
-
-    def _recv_store_result(self, doing):
-        return StoreResult(self._read_line(doing).decode())
-
-    def _recv_genid(self, doing):
-        reply = self._read_line(doing)
-        if not reply.startswith(b"ID "):
-            raise ProtocolError("bad genid reply {!r}".format(reply))
-        return int(reply.split()[1])
-
-    def _recv_iq_get(self, doing):
-        reply, value = self._recv_value_block(doing)
-        if value is not None:
-            return IQGetResult(value=value)
-        if reply.startswith(b"LEASE "):
-            return IQGetResult(token=int(reply.split()[1]))
-        if reply == b"BACKOFF":
-            return IQGetResult(backoff=True)
-        if reply == b"MISS":
-            return IQGetResult()
-        raise ProtocolError("bad iqget reply {!r}".format(reply))
-
-    def _recv_qaread(self, key):
-        def receive(doing):
-            reply, value = self._recv_value_block(doing)
-            if reply == b"ABORT":
-                raise QuarantinedError(key)
-            if value is not None:
-                return QaReadResult(value)
-            if reply == b"MISS":
-                return QaReadResult(None)
-            raise ProtocolError("bad qaread reply {!r}".format(reply))
-        return receive
-
-    def _recv_lease_grant(self, key):
-        """GRANTED-or-ABORT replies (``qar``, ``iqdelta``)."""
-        def receive(doing):
-            if self._read_line(doing) == b"ABORT":
-                raise QuarantinedError(key)
-            return True
-        return receive
-
-    def _recv_iq_mget(self, doing):
-        results = {}
-        while True:
-            line = self._read_line(doing)
-            if line == b"END":
-                return results
-            parts = line.split()
-            if len(parts) < 2:
-                raise ProtocolError("bad iqmget reply line {!r}".format(line))
-            word, key = parts[0], parts[1].decode()
-            if word == b"VALUE":
-                size = int(parts[3])
-                results[key] = IQGetResult(
-                    value=self._read_bytes(size, doing)
-                )
-            elif word == b"LEASE":
-                results[key] = IQGetResult(token=int(parts[2]))
-            elif word == b"MISS":
-                results[key] = IQGetResult()
-            elif word == b"BACKOFF":
-                results[key] = IQGetResult(backoff=True)
-            else:
-                raise ProtocolError("bad iqmget reply line {!r}".format(line))
-
-    def _recv_cget(self, doing):
-        first = self._read_line(doing)
-        if first.startswith(b"CVALUE "):
-            parts = first.split()
-            size = int(parts[5])
-            value = self._read_bytes(size, doing)
-            end = self._read_line(doing)
-            if end != b"END":
-                self._mark_broken()
-                raise ProtocolError("missing END after CVALUE block")
-            return ClockGetResult(
-                value=value,
-                flags=int(parts[2]),
-                valid_from=int(parts[3]),
-                valid_until=int(parts[4]),
-            )
-        if first == b"EXPIRED":
-            return ClockGetResult(expired=True)
-        if first == b"MISS":
-            return ClockGetResult()
-        raise ProtocolError("bad cget reply {!r}".format(first))
-
-    _QAREG_STATUS = {
-        b"GRANTED": "granted",
-        b"ABORT": "abort",
-        b"UNAVAIL": "unavailable",
-    }
-
-    def _recv_qar_many(self, doing):
-        results = {}
-        while True:
-            line = self._read_line(doing)
-            if line == b"END":
-                return results
-            parts = line.split()
-            status = self._QAREG_STATUS.get(parts[0])
-            if status is None or len(parts) != 2:
-                raise ProtocolError("bad qareg reply line {!r}".format(line))
-            results[parts[1].decode()] = status
-
-    def _recv_mdelete(self, doing):
-        reply = self._read_line(doing)
-        if not reply.startswith(b"DELETED "):
-            raise ProtocolError("bad mdelete reply {!r}".format(reply))
-        return int(reply.split()[1])
-
-    def _recv_key_snapshot(self, doing):
-        keys = []
-        while True:
-            line = self._read_line(doing)
-            if line == b"END":
-                return keys
-            parts = line.split()
-            if len(parts) != 2 or parts[0] != b"KEY":
-                raise ProtocolError(
-                    "bad keysnap reply line {!r}".format(line)
-                )
-            keys.append(parts[1].decode())
-
-    def _recv_get(self, doing):
-        reply, value = self._recv_value_block(doing)
-        if value is None:
-            return None
-        flags = int(reply.split()[2])
-        return value, flags
-
-    def _recv_gets(self, doing):
-        reply, value = self._recv_value_block(doing)
-        if value is None:
-            return None
-        parts = reply.split()
-        return value, int(parts[2]), int(parts[4])
-
-    def _recv_numeric(self, doing):
-        reply = self._read_line(doing)
-        return None if reply == b"NOT_FOUND" else int(reply)
-
-    def _recv_stats(self, doing):
-        result = {}
-        while True:
-            line = self._read_line(doing)
-            if line == b"END":
-                return result
-            _stat, name, value = line.decode().split()
-            result[name] = int(value)
-
-    def _recv_version(self, doing):
-        return self._read_line(doing).decode().split(" ", 1)[1]
-
-    # -- command builders ----------------------------------------------------
-    #
-    # Each returns (line, data, receiver); the public methods execute one,
-    # Pipeline queues many.
-
-    def _cmd_gen_id(self):
-        return "genid", None, self._recv_genid
-
-    def _cmd_iq_get(self, key, session=None):
-        line = "iqget {}".format(key)
-        if session is not None:
-            line += " {}".format(session)
-        return line, None, self._recv_iq_get
-
-    def _cmd_iq_set(self, key, value, token):
-        line = "iqset {} {} {}".format(key, token, len(value))
-        return line, value, self._recv_word(b"STORED")
-
-    def _cmd_release_i(self, key, token):
-        line = "releasei {} {}".format(key, token)
-        return line, None, self._recv_word(b"OK")
-
-    def _cmd_qaread(self, key, tid):
-        return "qaread {} {}".format(key, tid), None, self._recv_qaread(key)
-
-    def _cmd_sar(self, key, value, tid):
-        if value is None:
-            line = "sar {} {} -1".format(key, tid)
-            return line, None, self._recv_word(b"RELEASED")
-        line = "sar {} {} {}".format(key, tid, len(value))
-        return line, value, self._recv_word(b"STORED")
-
-    def _cmd_qar(self, tid, key):
-        line = "qar {} {}".format(tid, key)
-        return line, None, self._recv_lease_grant(key)
-
-    def _cmd_dar(self, tid):
-        return "dar {}".format(tid), None, self._recv_word(b"OK")
-
-    def _cmd_iq_delta(self, tid, key, op, operand):
-        # incr/decr operands arrive as ints from the in-process API; the
-        # wire carries them as an ASCII data block, like memcached does.
-        if not isinstance(operand, bytes):
-            operand = str(operand).encode()
-        line = "iqdelta {} {} {} {}".format(tid, key, op, len(operand))
-        return line, operand, self._recv_lease_grant(key)
-
-    def _cmd_commit(self, tid):
-        return "commit {}".format(tid), None, self._recv_word(b"OK")
-
-    def _cmd_abort(self, tid):
-        return "abort {}".format(tid), None, self._recv_word(b"OK")
-
-    def _cmd_cget(self, key, clock_now, extend=None):
-        line = "cget {} {}".format(key, clock_now)
-        if extend is not None:
-            line += " {}".format(extend)
-        return line, None, self._recv_cget
-
-    def _cmd_cset(self, key, value, valid_from, valid_until):
-        line = "cset {} {} {} {}".format(
-            key, valid_from, valid_until, len(value)
-        )
-        return line, value, self._recv_word(b"STORED")
-
-    def _cmd_iq_mget(self, keys, session=None):
-        line = "iqmget {}".format(" ".join(keys))
-        if session is not None:
-            line += " {}{}".format(SESSION_TOKEN_PREFIX, session)
-        return line, None, self._recv_iq_mget
-
-    def _cmd_qar_many(self, tid, keys):
-        line = "qareg {} {}".format(tid, " ".join(keys))
-        return line, None, self._recv_qar_many
-
-    def _cmd_mdelete(self, keys):
-        return "mdelete {}".format(" ".join(keys)), None, self._recv_mdelete
-
-    def _cmd_key_snapshot(self):
-        return "keysnap", None, self._recv_key_snapshot
-
-    def _cmd_get(self, key):
-        return "get {}".format(key), None, self._recv_get
-
-    def _cmd_gets(self, key):
-        return "gets {}".format(key), None, self._recv_gets
-
-    def _cmd_store(self, verb, key, value, flags, ttl):
-        line = "{} {} {} {} {}".format(verb, key, flags, ttl or 0, len(value))
-        return line, value, self._recv_store_result
-
-    def _cmd_delete(self, key):
-        return "delete {}".format(key), None, self._recv_word(b"DELETED")
-
-    # -- IQ command surface ------------------------------------------------------
-
-    def gen_id(self):
-        return self._execute(*self._cmd_gen_id())
-
-    def iq_get(self, key, session=None):
-        return self._execute(*self._cmd_iq_get(key, session))
-
-    def iq_set(self, key, value, token):
-        return self._execute(*self._cmd_iq_set(key, value, token))
-
-    def release_i(self, key, token):
-        return self._execute(*self._cmd_release_i(key, token))
-
-    def qaread(self, key, tid):
-        return self._execute(*self._cmd_qaread(key, tid))
-
-    def sar(self, key, value, tid):
-        return self._execute(*self._cmd_sar(key, value, tid))
-
     def propose_refresh(self, key, value, tid):
         raise NotImplementedError(
             "propose_refresh is an in-process optimization hook; the wire "
             "protocol uses qaread/sar"
         )
 
-    def qar(self, tid, key):
-        return self._execute(*self._cmd_qar(tid, key))
 
-    def dar(self, tid):
-        return self._execute(*self._cmd_dar(tid))
-
-    def iq_delta(self, tid, key, op, operand):
-        return self._execute(*self._cmd_iq_delta(tid, key, op, operand))
-
-    def commit(self, tid):
-        return self._execute(*self._cmd_commit(tid))
-
-    def abort(self, tid):
-        return self._execute(*self._cmd_abort(tid))
-
-    # -- precise-clock commands --------------------------------------------------
-
-    def cget(self, key, clock_now, extend=None):
-        """Interval read at commit-clock value ``clock_now`` (``cget``)."""
-        return self._execute(*self._cmd_cget(key, clock_now, extend))
-
-    def cset(self, key, value, valid_from, valid_until):
-        """Install ``value`` stamped ``[valid_from, valid_until)`` (``cset``)."""
-        return self._execute(
-            *self._cmd_cset(key, value, valid_from, valid_until)
-        )
-
-    # -- multi-key commands ------------------------------------------------------
-
-    def iq_mget(self, keys, session=None):
-        """Bulk ``iq_get`` in one round trip (wire command ``iqmget``)."""
-        keys = list(keys)
-        if not keys:
-            return {}
-        return self._execute(*self._cmd_iq_mget(keys, session))
-
-    def qar_many(self, tid, keys):
-        """Bulk invalidation ``qar`` in one round trip (``qareg``).
-
-        Returns the ordered key -> ``"granted"``/``"abort"``/
-        ``"unavailable"`` dict of :meth:`LeaseBackend.qar_many`; the
-        server stops at the first reject exactly like sequential ``qar``.
-        """
-        keys = list(keys)
-        if not keys:
-            return {}
-        return self._execute(*self._cmd_qar_many(tid, keys))
-
-    def mdelete(self, keys):
-        """Delete many keys in one round trip; returns the hit count."""
-        keys = list(keys)
-        if not keys:
-            return 0
-        return self._execute(*self._cmd_mdelete(keys))
-
-    def key_snapshot(self):
-        """Every key currently cached on the server (``keysnap``).
-
-        A point-in-time listing for migration enumeration -- keys may of
-        course appear or vanish the moment the reply is framed.
-        """
-        return self._execute(*self._cmd_key_snapshot())
-
-    # -- standard memcached commands ---------------------------------------------
-
-    def get(self, key):
-        return self._execute(*self._cmd_get(key))
-
-    def gets(self, key):
-        return self._execute(*self._cmd_gets(key))
-
-    def set(self, key, value, flags=0, ttl=None):
-        return self._execute(*self._cmd_store("set", key, value, flags, ttl))
-
-    def add(self, key, value, flags=0, ttl=None):
-        return self._execute(*self._cmd_store("add", key, value, flags, ttl))
-
-    def replace(self, key, value, flags=0, ttl=None):
-        return self._execute(
-            *self._cmd_store("replace", key, value, flags, ttl)
-        )
-
-    def append(self, key, suffix):
-        return self._execute(
-            *self._cmd_store("append", key, suffix, 0, 0)
-        )
-
-    def prepend(self, key, prefix):
-        return self._execute(
-            *self._cmd_store("prepend", key, prefix, 0, 0)
-        )
-
-    def cas(self, key, value, cas_id, flags=0, ttl=None):
-        line = "cas {} {} {} {} {}".format(
-            key, flags, ttl or 0, len(value), cas_id
-        )
-        return self._execute(line, value, self._recv_store_result)
-
-    def delete(self, key):
-        return self._execute(*self._cmd_delete(key))
-
-    def incr(self, key, delta=1):
-        return self._execute(
-            "incr {} {}".format(key, delta), None, self._recv_numeric
-        )
-
-    def decr(self, key, delta=1):
-        return self._execute(
-            "decr {} {}".format(key, delta), None, self._recv_numeric
-        )
-
-    def touch(self, key, ttl):
-        return self._execute(
-            "touch {} {}".format(key, ttl), None, self._recv_word(b"TOUCHED")
-        )
-
-    def flush_all(self):
-        return self._execute("flush_all", None, self._recv_word(b"OK"))
-
-    def stats(self):
-        return self._execute("stats", None, self._recv_stats)
-
-    def version(self):
-        return self._execute("version", None, self._recv_version)
-
-
-class Pipeline:
+class Pipeline(commands.surface("_queue")):
     """Batch context: queue commands, send them as one write, read all
     replies in order.
 
@@ -684,14 +287,15 @@ class Pipeline:
             pipe.qar(tid, "k1").qar(tid, "k2").commit(tid)
         granted_k1, granted_k2, committed = pipe.results
 
-    Queue methods mirror the single-command surface and return ``self``
-    for chaining.  ``execute()`` (called automatically on clean ``with``
-    exit) returns the per-command results in request order.  A command
-    rejected with :class:`~repro.errors.QuarantinedError` places the
-    *exception instance* in its result slot (its reply was fully
-    consumed, so later replies still parse); a transport or framing
-    failure raises and poisons the whole connection -- partial results
-    are never returned and the stream is never resynchronized.
+    Queue methods mirror the single-command surface (they are generated
+    from the same records) and return ``self`` for chaining.
+    ``execute()`` (called automatically on clean ``with`` exit) returns
+    the per-command results in request order.  A command rejected with
+    :class:`~repro.errors.QuarantinedError`, or refused with an error
+    reply, places the *exception instance* in its result slot (its reply
+    was fully consumed, so later replies still parse); a transport or
+    framing failure raises and poisons the whole connection -- partial
+    results are never returned and the stream is never resynchronized.
 
     The trace token for each command is captured when it is queued, so a
     pipeline built inside a traced session tags every frame.
@@ -707,11 +311,11 @@ class Pipeline:
     def __len__(self):
         return len(self._ops)
 
-    def _queue(self, line, data, receiver):
+    def _queue(self, cmd, args):
         if self._executed:
             raise RuntimeError("pipeline already executed")
-        payload = self._conn._frame(line, data)
-        self._ops.append((payload, line.split(" ", 1)[0], receiver))
+        payload = self._conn._frame(*cmd.encode(*args))
+        self._ops.append((payload, cmd, args))
         return self
 
     def execute(self):
@@ -732,72 +336,3 @@ class Pipeline:
         if exc_type is None and not self._executed:
             self.execute()
         return False
-
-    # -- queueing surface ----------------------------------------------------
-
-    def gen_id(self):
-        return self._queue(*self._conn._cmd_gen_id())
-
-    def iq_get(self, key, session=None):
-        return self._queue(*self._conn._cmd_iq_get(key, session))
-
-    def iq_set(self, key, value, token):
-        return self._queue(*self._conn._cmd_iq_set(key, value, token))
-
-    def release_i(self, key, token):
-        return self._queue(*self._conn._cmd_release_i(key, token))
-
-    def qaread(self, key, tid):
-        return self._queue(*self._conn._cmd_qaread(key, tid))
-
-    def sar(self, key, value, tid):
-        return self._queue(*self._conn._cmd_sar(key, value, tid))
-
-    def qar(self, tid, key):
-        return self._queue(*self._conn._cmd_qar(tid, key))
-
-    def dar(self, tid):
-        return self._queue(*self._conn._cmd_dar(tid))
-
-    def iq_delta(self, tid, key, op, operand):
-        return self._queue(*self._conn._cmd_iq_delta(tid, key, op, operand))
-
-    def commit(self, tid):
-        return self._queue(*self._conn._cmd_commit(tid))
-
-    def abort(self, tid):
-        return self._queue(*self._conn._cmd_abort(tid))
-
-    def cget(self, key, clock_now, extend=None):
-        return self._queue(*self._conn._cmd_cget(key, clock_now, extend))
-
-    def cset(self, key, value, valid_from, valid_until):
-        return self._queue(
-            *self._conn._cmd_cset(key, value, valid_from, valid_until)
-        )
-
-    def iq_mget(self, keys, session=None):
-        return self._queue(*self._conn._cmd_iq_mget(list(keys), session))
-
-    def qar_many(self, tid, keys):
-        return self._queue(*self._conn._cmd_qar_many(tid, list(keys)))
-
-    def mdelete(self, keys):
-        return self._queue(*self._conn._cmd_mdelete(list(keys)))
-
-    def key_snapshot(self):
-        return self._queue(*self._conn._cmd_key_snapshot())
-
-    def get(self, key):
-        return self._queue(*self._conn._cmd_get(key))
-
-    def gets(self, key):
-        return self._queue(*self._conn._cmd_gets(key))
-
-    def set(self, key, value, flags=0, ttl=None):
-        return self._queue(
-            *self._conn._cmd_store("set", key, value, flags, ttl)
-        )
-
-    def delete(self, key):
-        return self._queue(*self._conn._cmd_delete(key))

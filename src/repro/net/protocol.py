@@ -5,59 +5,11 @@ followed by a data block of a byte length announced on the command line
 (exactly as in the memcached ASCII protocol).  Every IQ extension follows
 the same discipline so a protocol trace reads like a Twemcache trace.
 
-Extension command grammar (server replies in parentheses)::
-
-    genid                                    (ID <tid>)
-    iqget <key> [<tid>]                      (VALUE .../END | LEASE <token> | MISS | BACKOFF)
-    iqset <key> <token> <nbytes> + data      (STORED | IGNORED)
-    releasei <key> <token>                   (OK)
-    qaread <key> <tid>                       (VALUE .../END | MISS | ABORT)
-    sar <key> <tid> <nbytes> + data          (STORED | RELEASED | IGNORED)
-    sar <key> <tid> -1                       (RELEASED | IGNORED)   # null value
-    qar <tid> <key>                          (GRANTED | ABORT)
-    dar <tid>                                (OK)
-    iqdelta <tid> <key> <op> <nbytes> + data (GRANTED | ABORT)
-    commit <tid>                             (OK)
-    abort <tid>                              (OK)
-
-Precise-clock commands (lease-free reads, ``repro.clock``)::
-
-    cget <key> <now> [<extend>]        (CVALUE <key> <flags> <start> <until>
-                                        <nbytes> + data, terminated by END
-                                        | MISS | EXPIRED)
-    cset <key> <start> <until> <nbytes> + data   (STORED | IGNORED)
-
-``cget`` reads at commit-clock value ``<now>``: a hit is served only
-while the entry's validity interval ``[<start>, <until>)`` covers
-``<now>``; an interval the clock has passed answers ``EXPIRED`` (and the
-entry is dropped), an absent or unstamped entry answers ``MISS``.  The
-optional ``<extend>`` carries the reader's freshly promised bound so a
-re-read can lengthen the stored interval in the same round trip.
-``cset`` installs a value stamped with its validity interval; the server
-answers ``IGNORED`` when it already holds an interval at least as
-long-lived (or the proposed interval is empty).
-
-Multi-key commands amortize the per-command round trip (one request
-line, one multi-line reply)::
-
-    iqmget <key>... [@s<tid>]   (per key: VALUE <key> <flags> <nbytes> + data
-                                 | LEASE <key> <token> | MISS <key>
-                                 | BACKOFF <key>; terminated by END)
-    qareg <tid> <key>...        (per key: GRANTED <key> | ABORT <key>
-                                 | UNAVAIL <key>; terminated by END)
-    mdelete <key>...            (DELETED <n-hits>)
-    keysnap                     (KEY <key> per cached key; terminated by END)
-
-``keysnap`` is the migration enumerator: a point-in-time listing of
-every cached key, used by the rebalancer to compute which key ranges a
-topology change moves.
-
-``qareg`` acquires invalidation-mode (Fig. 5a shared) Q leases in key
-order and stops at the first reject, exactly like a sequential run of
-``qar`` -- keys after the rejected one are not attempted and are absent
-from the reply.  ``UNAVAIL`` marks a key whose owning shard was
-unreachable (sharded deployments only); the caller degrades that key
-individually.
+The commands themselves -- request grammar, data-block rule, reply
+parser, server handler, retry class -- are the records of
+:mod:`repro.net.commands`; ``docs/PROTOCOL.md`` is the prose home of
+the grammar and the reply forms.  This module knows only the framing
+they share.
 
 Any request line may carry a trailing ``@t<trace-id>`` token
 (``qar 7 user:1 @t42``).  It propagates the caller's trace id so
@@ -78,24 +30,22 @@ a pipelined stream is byte-identical to the same commands issued one at
 a time.
 """
 
-from repro.errors import PipelineOverflowError, ProtocolError
+from repro.errors import (
+    BadValueError,
+    KeyFormatError,
+    PipelineOverflowError,
+    ProtocolError,
+    ServerReplyError,
+    ValueTooLargeError,
+)
 
 CRLF = b"\r\n"
 
 #: Commands whose request carries a data block; value is the index of the
-#: <nbytes> field on the command line (0 = command name itself).
-DATA_COMMANDS = {
-    "set": 4,
-    "add": 4,
-    "replace": 4,
-    "append": 4,
-    "prepend": 4,
-    "cas": 4,
-    "iqset": 3,
-    "sar": 3,
-    "iqdelta": 4,
-    "cset": 4,
-}
+#: <nbytes> field on the command line (0 = command name itself).  A view
+#: over the command table: :func:`repro.net.commands.register` fills it
+#: from each record's ``size_index``.
+DATA_COMMANDS = {}
 
 
 class LineReader:
@@ -328,3 +278,26 @@ def simple_response(word):
 
 def error_response(message):
     return "SERVER_ERROR {}".format(message).encode()
+
+
+#: First words of the two error replies (see ``dispatch.exception_reply``).
+ERROR_PREFIXES = (b"SERVER_ERROR ", b"CLIENT_ERROR ")
+
+
+def reply_error(line):
+    """The exception an error reply stands for (client side).
+
+    The inverse of :func:`repro.net.dispatch.exception_reply`, as far as
+    the text allows: the server sends ``CLIENT_ERROR <message>`` for the
+    three KVS input errors, whose messages tell them apart, and for
+    malformed arguments; everything else is a ``SERVER_ERROR``.
+    """
+    text = line.decode("utf-8", "replace")
+    kind, _, message = text.partition(" ")
+    if kind == "CLIENT_ERROR" and not message.startswith("bad command"):
+        if message.startswith("key "):
+            return KeyFormatError(message)
+        if "exceed" in message or "cannot fit" in message:
+            return ValueTooLargeError(message)
+        return BadValueError(message)
+    return ServerReplyError(text)

@@ -13,7 +13,9 @@ the paper's degradation contract needs end-to-end over TCP:
   ``commit``, ``abort``, ...) are retried on a fresh connection after a
   connection loss; operations that are *not* idempotent (``qaread``,
   ``sar``, ``iq_delta``, ``qar``, the storage commands) are never blindly
-  retried -- an ambiguous outcome surfaces as a typed error and safety
+  retried (each command's class is the ``idempotent`` field of its
+  :mod:`repro.net.commands` record) -- an ambiguous outcome surfaces as
+  a typed error and safety
   rests on the server's finite Q-lease lifetime (an interrupted write
   session's leases expire and the key is deleted, Section 4.2);
 * **circuit breaker** -- after ``breaker_failure_threshold`` consecutive
@@ -30,8 +32,9 @@ the paper's degradation contract needs end-to-end over TCP:
   instead of serializing on one socket; :meth:`pipeline` checks a pooled
   connection out for a whole batched exchange.
 
-The class exposes the full IQ + memcached method surface, so
-``IQClient`` and everything above it run unchanged.
+The class exposes the full IQ + memcached method surface (generated
+from the same command records as ``RemoteIQServer``'s), so ``IQClient``
+and everything above it run unchanged.
 """
 
 import threading
@@ -44,6 +47,7 @@ from repro.errors import (
     ProtocolError,
 )
 from repro.core.backend import LeaseBackend
+from repro.net import commands
 from repro.net.client import Pipeline, RemoteIQServer
 from repro.obs.trace import get_tracer
 from repro.util.backoff import ExponentialBackoff
@@ -181,29 +185,6 @@ class ReconciliationJournal:
         return len(self) > 0
 
 
-#: Operations whose duplicate execution cannot violate consistency.
-#: ``dar``/``commit``/``abort`` are idempotent because the server pops the
-#: session state on first application (a replay is a no-op); ``delete`` is
-#: naturally idempotent; ``iq_get`` re-issues at worst a fresh lease.
-#: ``cget`` is a pure read; a replayed ``cset`` re-proposes the same
-#: validity interval, which the server arbitrates identically (keep the
-#: longer-lived interval), so both precise-clock commands retry safely.
-_IDEMPOTENT = frozenset({
-    "gen_id", "iq_get", "iq_mget", "release_i", "dar", "commit", "abort",
-    "get", "gets", "delete", "mdelete", "touch", "flush_all", "stats",
-    "version", "key_snapshot", "cget", "cset",
-})
-
-#: Never blind-retried: replaying would double-apply a change (``sar``,
-#: ``iq_delta``, storage commands) or re-register work under an outcome
-#: the client cannot see (``qar``, ``qar_many``, ``qaread``).
-_NON_IDEMPOTENT = frozenset({
-    "qar", "qar_many", "qaread", "sar", "iq_set", "iq_delta",
-    "propose_refresh",
-    "set", "add", "replace", "append", "prepend", "cas", "incr", "decr",
-})
-
-
 class ConnectionPool:
     """Bounded, thread-safe pool of :class:`RemoteIQServer` connections.
 
@@ -330,7 +311,7 @@ class ConnectionPool:
             pass
 
 
-class ResilientIQServer(LeaseBackend):
+class ResilientIQServer(commands.surface("_call"), LeaseBackend):
     """Self-healing drop-in for :class:`RemoteIQServer`."""
 
     def __init__(self, host="127.0.0.1", port=11211, config=None,
@@ -418,42 +399,51 @@ class ResilientIQServer(LeaseBackend):
         with self._counter_lock:
             self.failures += 1
 
-    def _call(self, name, *args):
+    def _call(self, cmd, args):
         """Run one operation with timeout/reconnect/retry/breaker logic.
 
         Each attempt checks a connection out of the pool, so concurrent
         callers no longer serialize on one socket; only reconciliation
-        after a recovery is a (brief) global critical section.
+        after a recovery is a (brief) global critical section.  The
+        command's record says whether a lost connection may be answered
+        by a replay (``idempotent``) and whether giving up is reported
+        as ``False`` rather than raised (``best_effort``).
         """
-        retriable = name in _IDEMPOTENT
-        attempts_left = self.config.max_retries if retriable else 0
+        attempts_left = self.config.max_retries if cmd.idempotent else 0
         delays = None
         while True:
-            self.circuit.allow()
             conn = None
             try:
+                self.circuit.allow()
                 conn = self._pool.acquire()
                 self._ensure_reconciled(conn)
-                result = getattr(conn, name)(*args)
+                result = getattr(conn, cmd.name)(*args)
             except (ConnectionLostError, OperationTimeout):
                 if conn is not None:
                     self._pool.discard(conn)
                 self._note_failure()
                 if attempts_left <= 0:
+                    if cmd.best_effort:
+                        return False
                     raise
                 attempts_left -= 1
                 with self._counter_lock:
                     self.retries += 1
                 if self._tracer.active:
-                    self._tracer.emit("net.retry", op=name,
+                    self._tracer.emit("net.retry", op=cmd.name,
                                       attempts_left=attempts_left)
                 if delays is None:
                     delays = self._backoff.delays()
                 self.clock.sleep(next(delays))
                 continue
+            except CircuitOpenError:
+                if cmd.best_effort:
+                    return False
+                raise
             except BaseException:
-                # Semantic errors (QuarantinedError ...) leave the
-                # connection healthy; a framing error poisoned it and
+                # Refusals (QuarantinedError, an error reply ...) leave
+                # the connection healthy and say nothing about the
+                # server's health; a framing error poisoned it and
                 # release() sheds it.
                 if conn is not None:
                     self._pool.release(conn)
@@ -509,129 +499,8 @@ class ResilientIQServer(LeaseBackend):
             raise
         return _PooledPipeline(self, conn)
 
-    # -- IQ command surface ---------------------------------------------------
-
-    def gen_id(self):
-        return self._call("gen_id")
-
-    def iq_get(self, key, session=None):
-        return self._call("iq_get", key, session)
-
-    def iq_set(self, key, value, token):
-        # An unstored IQset is always safe (the server ignores sets whose
-        # lease was voided; the reader still returns its computed value),
-        # so a connection failure degrades to "not cached" instead of
-        # failing the read session.
-        try:
-            return self._call("iq_set", key, value, token)
-        except (ConnectionLostError, OperationTimeout, CircuitOpenError):
-            return False
-
-    def release_i(self, key, token):
-        # Best-effort: an unreleased I lease simply expires server-side.
-        try:
-            return self._call("release_i", key, token)
-        except (ConnectionLostError, OperationTimeout, CircuitOpenError):
-            return False
-
-    def qaread(self, key, tid):
-        return self._call("qaread", key, tid)
-
-    def sar(self, key, value, tid):
-        return self._call("sar", key, value, tid)
-
-    def propose_refresh(self, key, value, tid):
-        return self._call("propose_refresh", key, value, tid)
-
-    def qar(self, tid, key):
-        return self._call("qar", tid, key)
-
-    def dar(self, tid):
-        return self._call("dar", tid)
-
-    def iq_delta(self, tid, key, op, operand):
-        return self._call("iq_delta", tid, key, op, operand)
-
-    def commit(self, tid):
-        return self._call("commit", tid)
-
-    def abort(self, tid):
-        return self._call("abort", tid)
-
-    # -- precise-clock commands ------------------------------------------------
-
-    def cget(self, key, clock_now, extend=None):
-        return self._call("cget", key, clock_now, extend)
-
-    def cset(self, key, value, valid_from, valid_until):
-        # Like iq_set: an uninstalled cset is always safe (the reader
-        # still returns its computed value), so a connection failure
-        # degrades to "not cached" instead of failing the read.
-        try:
-            return self._call("cset", key, value, valid_from, valid_until)
-        except (ConnectionLostError, OperationTimeout, CircuitOpenError):
-            return False
-
-    # -- multi-key commands ----------------------------------------------------
-
-    def iq_mget(self, keys, session=None):
-        return self._call("iq_mget", list(keys), session)
-
-    def qar_many(self, tid, keys):
-        return self._call("qar_many", tid, list(keys))
-
-    def mdelete(self, keys):
-        return self._call("mdelete", list(keys))
-
-    def key_snapshot(self):
-        return self._call("key_snapshot")
-
-    # -- memcached command surface --------------------------------------------
-
-    def get(self, key):
-        return self._call("get", key)
-
-    def gets(self, key):
-        return self._call("gets", key)
-
-    def set(self, key, value, flags=0, ttl=None):
-        return self._call("set", key, value, flags, ttl)
-
-    def add(self, key, value, flags=0, ttl=None):
-        return self._call("add", key, value, flags, ttl)
-
-    def replace(self, key, value, flags=0, ttl=None):
-        return self._call("replace", key, value, flags, ttl)
-
-    def append(self, key, suffix):
-        return self._call("append", key, suffix)
-
-    def prepend(self, key, prefix):
-        return self._call("prepend", key, prefix)
-
-    def cas(self, key, value, cas_id, flags=0, ttl=None):
-        return self._call("cas", key, value, cas_id, flags, ttl)
-
-    def delete(self, key):
-        return self._call("delete", key)
-
-    def incr(self, key, delta=1):
-        return self._call("incr", key, delta)
-
-    def decr(self, key, delta=1):
-        return self._call("decr", key, delta)
-
-    def touch(self, key, ttl):
-        return self._call("touch", key, ttl)
-
-    def flush_all(self):
-        return self._call("flush_all")
-
-    def stats(self):
-        return self._call("stats")
-
-    def version(self):
-        return self._call("version")
+    # Not a wire command (no record): the same refusal, no connection.
+    propose_refresh = RemoteIQServer.propose_refresh
 
 
 class _PooledPipeline(Pipeline):

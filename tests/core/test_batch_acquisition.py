@@ -125,13 +125,6 @@ class TestBatchedGrowingPhase:
         assert backend.batch_calls == 0
         assert backend.store.get("only") is None
 
-    def test_batch_leases_false_disables_batching(self, backend, users_db):
-        policy = make_client(IQInvalidateClient, backend, users_db,
-                             batch_leases=False)
-        policy.write(score_body, [KeyChange("a"), KeyChange("b")])
-        assert backend.batch_calls == 0
-        assert backend.stats.get("q_lease_grants") == 2  # sequential QaR
-
     def test_abort_in_batch_restarts_the_session(self, backend, users_db):
         policy = make_client(IQInvalidateClient, backend, users_db)
         backend.script.append(abort_on("b"))

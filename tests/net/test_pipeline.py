@@ -31,6 +31,7 @@ from repro.faults.injector import (
 )
 from repro.kvs.store import StoreResult
 from repro.net import RemoteIQServer, serve_background
+from repro.net.commands import COMMANDS
 from repro.obs.trace import get_tracer, recording, trace_context
 
 
@@ -246,6 +247,86 @@ class TestMultiKeyCommands:
         assert mget["a"].is_hit and mget["b"].has_lease
         assert statuses == {"c": "granted"}
         assert deleted == 1
+
+
+#: One call of every command in the table, in an order that gives each a
+#: non-trivial reply.  TIDs and lease tokens are the ones a fresh server
+#: deals (1, 2, ...), so the same script runs against two of them.
+SCRIPT = [
+    ("version", ()),
+    ("set", ("s", b"10")),
+    ("add", ("a", b"x")),
+    ("replace", ("a", b"y", 3)),
+    ("append", ("a", b">")),
+    ("prepend", ("a", b"<")),
+    ("get", ("a",)),
+    ("gets", ("a",)),
+    ("cas", ("a", b"z", 999)),
+    ("incr", ("s", 5)),
+    ("decr", ("s",)),
+    ("touch", ("s", 100)),
+    ("delete", ("a",)),
+    ("gen_id", ()),
+    ("iq_get", ("m",)),
+    ("iq_set", ("m", b"filled", 1)),
+    ("iq_get", ("r",)),
+    ("release_i", ("r", 2)),
+    ("iq_mget", (["m", "n"],)),
+    ("qaread", ("m", 1)),
+    ("sar", ("m", b"new", 1)),
+    ("qar", (1, "s")),
+    ("qar_many", (1, ["p", "q"])),
+    ("iq_delta", (1, "d", "append", b"x")),
+    ("dar", (1,)),
+    ("gen_id", ()),
+    ("qar", (2, "n")),
+    ("commit", (2,)),
+    ("gen_id", ()),
+    ("qaread", ("m", 3)),
+    ("abort", (3,)),
+    ("cset", ("c", b"v", 0, 10)),
+    ("cget", ("c", 5)),
+    ("mdelete", (["m", "ghost"],)),
+    ("key_snapshot", ()),
+    ("stats", ()),
+    ("flush_all", ()),
+]
+
+
+def comparable(result):
+    if isinstance(result, dict):
+        # The one counter that is *supposed* to differ between the runs.
+        result = {k: v for k, v in result.items()
+                  if k != "pipelined_commands"}
+    return repr(result)
+
+
+@pytest.fixture(scope="module")
+def both_ways():
+    """SCRIPT's results issued one at a time, and as one pipelined batch."""
+    outcomes = []
+    for pipelined in (False, True):
+        server, _thread = serve_background()
+        with RemoteIQServer(port=server.port) as remote:
+            target = remote.pipeline() if pipelined else remote
+            results = [getattr(target, name)(*args) for name, args in SCRIPT]
+            if pipelined:
+                results = target.execute()
+        server.shutdown()
+        server.server_close()
+        outcomes.append([comparable(result) for result in results])
+    return outcomes
+
+
+@pytest.mark.parametrize("name", sorted(COMMANDS))
+def test_pipelined_equals_one_at_a_time(both_ways, name):
+    """The wire ``Pipeline`` covers the whole table, like ``LocalPipeline``
+    covers every backend method, with the single-command results."""
+    slots = [i for i, (called, _args) in enumerate(SCRIPT) if called == name]
+    assert slots, "SCRIPT has no call of {}".format(name)
+    single, piped = both_ways
+    for slot in slots:
+        assert piped[slot] == single[slot]
 
 
 class TestLocalPipeline:

@@ -4,7 +4,14 @@ import socket
 
 import pytest
 
-from repro.net import RemoteIQServer, serve_background
+from repro.config import NetConfig
+from repro.errors import (
+    BadValueError,
+    KeyFormatError,
+    ServerReplyError,
+    ValueTooLargeError,
+)
+from repro.net import RemoteIQServer, ResilientIQServer, serve_background
 from repro.net.protocol import CRLF
 
 
@@ -62,6 +69,85 @@ class TestMalformedRequests:
         )
         reply = raw_exchange(served.port, request)
         assert reply.startswith(b"CLIENT_ERROR")
+
+
+OVERSIZED = b"x" * (1024 * 1024 + 1)
+
+#: (method, args given a backend, exception) -- each used to come back as
+#: ``False``, a "miss", or a bare ``ValueError`` because no receiver knew
+#: error replies.
+REFUSED = [
+    ("commit", lambda backend: ("notanint",), ServerReplyError),
+    ("iq_set",
+     lambda backend: ("k", OVERSIZED, backend.iq_get("k").token),
+     ValueTooLargeError),
+    ("get", lambda backend: ("k" * 300,), KeyFormatError),
+    ("set", lambda backend: ("k", OVERSIZED), ValueTooLargeError),
+    ("incr", lambda backend: ("text",), BadValueError),
+]
+
+
+@pytest.fixture(params=("threaded", "async"))
+def any_transport(request):
+    server, _thread = serve_background(transport=request.param)
+    server.iq_server.store.set("text", b"hello")
+    yield server
+    server.shutdown()
+    server.server_close()
+
+
+@pytest.mark.parametrize(
+    "name,args,error", REFUSED, ids=[case[0] for case in REFUSED]
+)
+class TestErrorRepliesAreTyped:
+    def test_client_raises_and_stays_usable(self, any_transport, name, args,
+                                            error):
+        with RemoteIQServer(port=any_transport.port) as remote:
+            with pytest.raises(error) as raised:
+                getattr(remote, name)(*args(remote))
+            if error is ServerReplyError:
+                assert "CLIENT_ERROR bad command arguments" in str(raised.value)
+            assert not remote.broken
+            assert remote.get("text") == (b"hello", 0)  # reply stream in step
+
+    def test_resilient_neither_retries_nor_trips(self, any_transport, name,
+                                                 args, error):
+        config = NetConfig(max_retries=2, breaker_failure_threshold=1)
+        with ResilientIQServer(port=any_transport.port,
+                               config=config) as client:
+            with pytest.raises(error):
+                getattr(client, name)(*args(client))
+            assert (client.retries, client.failures) == (0, 0)
+            assert client.circuit.times_opened == 0
+            assert client.get("text") == (b"hello", 0)
+            assert client.reconnects == 1  # still the first connection
+
+    def test_pipeline_files_it_in_its_slot(self, any_transport, name, args,
+                                           error):
+        with RemoteIQServer(port=any_transport.port) as remote:
+            pipe = remote.pipeline().get("text")
+            getattr(pipe, name)(*args(remote))
+            results = pipe.get("text").execute()
+            assert isinstance(results[1], error)
+            assert results[0] == results[2] == (b"hello", 0)
+
+
+@pytest.mark.parametrize(
+    "name,args,error", REFUSED[1:], ids=[case[0] for case in REFUSED[1:]]
+)
+def test_wire_error_is_the_in_process_error(any_transport, name, args, error):
+    """Same class, same message as ``IQServer`` raises (malformed
+    arguments, the first case, have no in-process equivalent)."""
+    iq = any_transport.iq_server
+    target = iq if hasattr(iq, name) else iq.store
+    with pytest.raises(error) as local:
+        getattr(target, name)(*args(iq))
+    iq.flush_all()
+    iq.store.set("text", b"hello")
+    with RemoteIQServer(port=any_transport.port) as remote:
+        with pytest.raises(error) as wire:
+            getattr(remote, name)(*args(remote))
+    assert str(wire.value) == str(local.value)
 
 
 class TestMultiKeyGet:
