@@ -49,11 +49,10 @@ def pct(value):
 
 
 def write_bench_json(name, results, note):
-    """Write a committed ``BENCH_<name>.json`` baseline at the repo root.
+    """Write ``BENCH_<name>.json`` at the repo root.
 
-    These files are the committed headline baselines the scenario
-    catalogue diffs against (``repro scenarios --diff-baselines``); the
-    stable shape is ``results`` plus a ``benchmark`` tag and a
+    A plain output file the docs quote (``bench/`` is the performance
+    gate).  The shape is ``results`` plus a ``benchmark`` tag and a
     free-text ``note`` describing the measurement conditions.
     """
     path = os.path.join(ROOT_DIR, "BENCH_{}.json".format(name))

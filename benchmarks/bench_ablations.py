@@ -176,66 +176,6 @@ def test_ablation_backoff(benchmark):
         assert db_calls == 1
 
 
-# -- Ablation 4: Twemcache slab-eviction strategies ------------------------------
-
-def ablate_slab_strategies(operations=4000, population=400, memory=32 * 1024):
-    """Compare slab eviction strategies on a shifting Zipfian stream.
-
-    Phase 1 issues small items; phase 2 shifts the size distribution up
-    (the slab-calcification scenario Twemcache's slab eviction targets).
-    Hit rate per strategy is reported; all strategies must respect the
-    memory budget.
-    """
-    import random
-
-    from repro.bg.zipfian import ZipfianGenerator
-    from repro.kvs.slab_allocator import SlabCache, SlabStrategy
-
-    rows = []
-    rates = {}
-    for strategy in (SlabStrategy.RANDOM, SlabStrategy.LRA,
-                     SlabStrategy.LRC):
-        cache = SlabCache(
-            memory, strategy=strategy, rng=random.Random(5)
-        )
-        zipf = ZipfianGenerator(
-            population, exponent=0.8, rng=random.Random(11)
-        )
-        rng = random.Random(17)
-        for op_index in range(operations):
-            key = "key{}".format(zipf.next())
-            size = 60 if op_index < operations // 2 else 400
-            if cache.get(key) is None:
-                cache.set(key, b"x" * (size + rng.randrange(20)))
-        rates[strategy] = cache.hit_rate()
-        rows.append([
-            strategy.value,
-            "{:.1%}".format(cache.hit_rate()),
-            str(cache.allocator.slab_evictions),
-            str(cache.allocator.memory_used()),
-        ])
-    return rows, rates
-
-
-def test_ablation_slab_strategies(benchmark):
-    rows, rates = benchmark.pedantic(
-        ablate_slab_strategies, iterations=1, rounds=1,
-    )
-    emit("ablation_slab_strategies", format_table(
-        "Ablation: Twemcache slab-eviction strategies "
-        "(shifting size distribution)",
-        ["Strategy", "Hit rate", "Slab evictions", "Memory used"],
-        rows,
-    ))
-    from repro.kvs.slab_allocator import SlabStrategy
-
-    for rate in rates.values():
-        assert rate is not None and rate > 0
-    # Access-aware eviction should not lose to blind random choice by a
-    # wide margin on a skewed stream.
-    assert rates[SlabStrategy.LRA] >= rates[SlabStrategy.RANDOM] - 0.1
-
-
 if __name__ == "__main__":
     rows, _ = ablate_deferred_delete(ops=150)
     emit("ablation_deferred_delete", format_table(
@@ -253,12 +193,5 @@ if __name__ == "__main__":
     emit("ablation_backoff", format_table(
         "Ablation: backoff policy under a thundering herd (1 hot key)",
         ["Policy", "RDBMS computations", "Backoffs"],
-        rows,
-    ))
-    rows, _ = ablate_slab_strategies()
-    emit("ablation_slab_strategies", format_table(
-        "Ablation: Twemcache slab-eviction strategies "
-        "(shifting size distribution)",
-        ["Strategy", "Hit rate", "Slab evictions", "Memory used"],
         rows,
     ))

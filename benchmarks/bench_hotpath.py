@@ -127,8 +127,6 @@ def _striping_experiment(thread_counts, duration):
         "keys": KEYS,
         "cpu_count": os.cpu_count() or 1,
         "sweep": sweep,
-        # Scalar headline for the baseline differ (repro scenarios
-        # --diff-baselines), which bands dot-paths into dicts only.
         "best_ratio": max(point["ratio"] for point in sweep),
     }
 

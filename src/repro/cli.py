@@ -20,7 +20,7 @@
         Replay the paper's race-condition figures and print the outcomes.
 
     python -m repro bench --experiment table1|table6|table7|table8|
-                                       figures|ablations|linkbench
+                                       figures|ablations
         Run a scaled evaluation experiment and print its table.
 
     python -m repro demo [--threads N] [--ops N] [--members M]
@@ -53,8 +53,7 @@
     python -m repro scenarios [--list] [--run NAME] [--sweep] [--smoke]
                               [--mode live|mc|both] [--technique T]
                               [--transport T] [--tag T] [--family F]
-                              [--seed S] [--out F] [--diff-baselines]
-                              [--headline NAME] [--strict-env]
+                              [--seed S] [--out F]
         The declarative scenario catalogue.  ``--list`` prints the
         committed entries (honouring the filter flags); ``--run NAME``
         executes one entry through the live system and/or the model
@@ -63,11 +62,6 @@
         smoke-tier entries) -- CI runs ``--sweep --smoke``.  Entries
         declaring both modes also get a live/mc parity check.  ``--out``
         writes the machine-readable reports as JSON.
-        ``--diff-baselines`` instead re-measures the committed
-        ``BENCH_*.json`` headline numbers (``--headline`` selects one)
-        and diffs them inside explicit tolerance bands;
-        ``--strict-env`` forces absolute-throughput comparisons on
-        hosts that do not look like the baseline's hardware class.
 """
 
 import argparse
@@ -427,7 +421,6 @@ def _cmd_bench(args):
         "table8": "bench_table8_soar",
         "figures": "bench_figures_races",
         "ablations": "bench_ablations",
-        "linkbench": "bench_linkbench",
     }
     name = modules[args.experiment]
     try:
@@ -447,32 +440,7 @@ def _cmd_bench(args):
 def _cmd_scenarios(args):
     import json
 
-    from repro.scenarios import (
-        by_name,
-        diff_baselines,
-        filter_catalogue,
-        run_live,
-        run_mc,
-    )
-
-    if args.diff_baselines:
-        tier = "smoke" if args.smoke else "sweep"
-        names = (args.headline,) if args.headline else None
-        results = diff_baselines(
-            names=names, tier=tier, strict_env=args.strict_env
-        )
-        regressions = 0
-        for name in sorted(results):
-            print("baseline {} ({} tier re-measurement):".format(name, tier))
-            for entry in results[name]:
-                print("  " + entry.summary())
-                if not entry.ok:
-                    regressions += 1
-        print("baseline diff: {}".format(
-            "OK" if regressions == 0 else
-            "{} regression(s)".format(regressions)
-        ))
-        return 0 if regressions == 0 else 1
+    from repro.scenarios import by_name, filter_catalogue, run_live, run_mc
 
     filters = dict(
         technique=args.technique, transport=args.transport, tag=args.tag,
@@ -494,8 +462,8 @@ def _cmd_scenarios(args):
         tier = "smoke" if args.smoke else "sweep"
         specs = filter_catalogue(tier=tier, **filters)
     else:
-        print("give one of --list, --run NAME, --sweep, or "
-              "--diff-baselines (see repro scenarios --help)")
+        print("give one of --list, --run NAME, or --sweep "
+              "(see repro scenarios --help)")
         return 2
 
     reports = []
@@ -635,13 +603,13 @@ def build_parser():
     bench.add_argument(
         "--experiment", required=True,
         choices=["table1", "table6", "table7", "table8", "figures",
-                 "ablations", "linkbench"],
+                 "ablations"],
     )
     bench.set_defaults(func=_cmd_bench)
 
     scenarios = sub.add_parser(
         "scenarios",
-        help="declarative scenario catalogue: list, run, sweep, diff",
+        help="declarative scenario catalogue: list, run, sweep",
     )
     scenarios.add_argument("--list", action="store_true",
                            help="print the (filtered) catalogue and exit")
@@ -678,19 +646,6 @@ def build_parser():
                            help="workload seed (default 13)")
     scenarios.add_argument("--out", default=None, metavar="F",
                            help="write the reports as JSON to F")
-    scenarios.add_argument(
-        "--diff-baselines", action="store_true",
-        help="re-measure committed BENCH_*.json headlines and diff them",
-    )
-    scenarios.add_argument(
-        "--headline", default=None, choices=["pipeline", "clock"],
-        help="diff only this baseline file",
-    )
-    scenarios.add_argument(
-        "--strict-env", action="store_true",
-        help="compare absolute throughput even off the baseline's "
-             "hardware class",
-    )
     scenarios.set_defaults(func=_cmd_scenarios)
     return parser
 

@@ -20,7 +20,6 @@ The IQ framework of :mod:`repro.core` layers the I/Q leases on top of
 
 from repro.kvs.entry import CacheEntry
 from repro.kvs.read_lease import LeaseGetResult, ReadLeaseStore
-from repro.kvs.slab_allocator import SlabAllocator, SlabCache, SlabStrategy
 from repro.kvs.stats import CacheStats
 from repro.kvs.store import CacheStore, StoreResult
 
@@ -30,8 +29,5 @@ __all__ = [
     "CacheStore",
     "LeaseGetResult",
     "ReadLeaseStore",
-    "SlabAllocator",
-    "SlabCache",
-    "SlabStrategy",
     "StoreResult",
 ]

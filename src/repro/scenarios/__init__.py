@@ -6,17 +6,9 @@ x oracles) and the package executes it through the *live* system
 (:mod:`repro.scenarios.runner` -- real threads, real sockets, the BG
 validation log, chaos controllers) or compiles it for the *model
 checker* (:mod:`repro.scenarios.mc_bridge`), both emitting the same
-diffable :class:`ScenarioReport`.  :mod:`repro.scenarios.baseline`
-re-measures the committed ``BENCH_*.json`` headline numbers inside
-explicit tolerance bands.  ``repro scenarios`` is the CLI.
+diffable :class:`ScenarioReport`.  ``repro scenarios`` is the CLI.
 """
 
-from repro.scenarios.baseline import (
-    HEADLINES,
-    Headline,
-    diff_baselines,
-    environment_comparable,
-)
 from repro.scenarios.catalogue import (
     CATALOGUE,
     by_name,
@@ -24,14 +16,7 @@ from repro.scenarios.catalogue import (
     filter_catalogue,
 )
 from repro.scenarios.mc_bridge import compile_spec, run_mc
-from repro.scenarios.report import (
-    Band,
-    DiffEntry,
-    OracleVerdict,
-    ScenarioReport,
-    diff_metrics,
-    resolve_path,
-)
+from repro.scenarios.report import OracleVerdict, ScenarioReport
 from repro.scenarios.runner import SIZINGS, Sizing, run_live
 from repro.scenarios.spec import (
     DEFAULT_ORACLES,
@@ -59,11 +44,7 @@ __all__ = [
     "DEFAULT_ORACLES",
     "FAMILY_CLASSES",
     "FAULT_PLANS",
-    "HEADLINES",
-    "Band",
-    "DiffEntry",
     "FlashCrowd",
-    "Headline",
     "MODES",
     "MultiTenantSkew",
     "ORACLES",
@@ -82,12 +63,8 @@ __all__ = [
     "catalogue",
     "check_bounds",
     "compile_spec",
-    "diff_baselines",
-    "diff_metrics",
-    "environment_comparable",
     "family_by_name",
     "filter_catalogue",
-    "resolve_path",
     "run_live",
     "run_mc",
 ]

@@ -1,16 +1,9 @@
-"""Machine-readable scenario verdicts and baseline diffing.
+"""Machine-readable scenario verdicts.
 
 A :class:`ScenarioReport` is the one output shape both execution paths
 produce: verdict, per-oracle verdicts with counts, and a flat metrics
 dict (throughput, actions, explored states ...).  It round-trips
 through JSON so a sweep can be committed, diffed, and re-checked.
-
-Baseline diffing compares measured metrics against committed
-``BENCH_*.json`` numbers with explicit tolerance bands.  Every
-comparison lands in exactly one of four statuses -- ``ok``,
-``regression``, ``new`` (no committed baseline), ``env-skipped``
-(not comparable on this host, with the reason) -- so a result is never
-silently dropped: a number that cannot be honestly compared says so.
 """
 
 import json
@@ -18,19 +11,9 @@ import json
 __all__ = [
     "OracleVerdict",
     "ScenarioReport",
-    "Band",
-    "DiffEntry",
-    "diff_metrics",
-    "resolve_path",
 ]
 
 SCHEMA_VERSION = 1
-
-#: diff statuses (DiffEntry.status)
-STATUS_OK = "ok"
-STATUS_REGRESSION = "regression"
-STATUS_NEW = "new"
-STATUS_ENV_SKIPPED = "env-skipped"
 
 
 class OracleVerdict:
@@ -150,135 +133,3 @@ class ScenarioReport:
         return "ScenarioReport({!r}, {}, {})".format(
             self.name, self.mode, self.verdict
         )
-
-
-# ---------------------------------------------------------------------------
-# baseline diffing
-# ---------------------------------------------------------------------------
-
-class Band:
-    """One comparable metric: where it lives and how far it may drop.
-
-    ``kind`` is ``"ratio"`` (hardware-class independent speedups --
-    comparable anywhere) or ``"absolute"`` (ops/s, ms -- only
-    comparable on the baseline's hardware class).  ``tolerance`` is the
-    allowed *relative shortfall*: measured >= baseline * (1 -
-    tolerance) passes; a measured value above baseline is always ok
-    (for lower-is-better metrics pass ``direction="lower"``).
-    """
-
-    def __init__(self, metric, path=None, kind="ratio", tolerance=0.25,
-                 direction="higher"):
-        self.metric = metric
-        #: dot path into the committed BENCH json (defaults to metric)
-        self.path = path or metric
-        if kind not in ("ratio", "absolute"):
-            raise ValueError("kind must be 'ratio' or 'absolute'")
-        if direction not in ("higher", "lower"):
-            raise ValueError("direction must be 'higher' or 'lower'")
-        self.kind = kind
-        self.tolerance = tolerance
-        self.direction = direction
-
-    def within(self, measured, baseline):
-        if self.direction == "higher":
-            return measured >= baseline * (1.0 - self.tolerance)
-        return measured <= baseline * (1.0 + self.tolerance)
-
-    def __repr__(self):
-        return "Band({!r}, kind={}, tol={})".format(
-            self.metric, self.kind, self.tolerance
-        )
-
-
-class DiffEntry:
-    """One metric's comparison outcome."""
-
-    def __init__(self, metric, status, measured=None, baseline=None,
-                 reason=""):
-        self.metric = metric
-        self.status = status
-        self.measured = measured
-        self.baseline = baseline
-        self.reason = reason
-
-    @property
-    def ok(self):
-        return self.status != STATUS_REGRESSION
-
-    def summary(self):
-        def fmt(value):
-            return "-" if value is None else "{:.4g}".format(value)
-
-        line = "{:<36} {:<12} measured={:<10} baseline={:<10}".format(
-            self.metric, self.status, fmt(self.measured), fmt(self.baseline)
-        )
-        return line + (" ({})".format(self.reason) if self.reason else "")
-
-    def to_dict(self):
-        return {
-            "metric": self.metric, "status": self.status,
-            "measured": self.measured, "baseline": self.baseline,
-            "reason": self.reason,
-        }
-
-    def __repr__(self):
-        return "DiffEntry({!r}, {})".format(self.metric, self.status)
-
-
-def resolve_path(data, path):
-    """Walk ``a.b.c`` through nested dicts; None when any hop misses."""
-    node = data
-    for part in path.split("."):
-        if not isinstance(node, dict) or part not in node:
-            return None
-        node = node[part]
-    return node
-
-
-def diff_metrics(measured, baseline, bands, comparable_env=True,
-                 env_reason=""):
-    """Compare a measured metrics dict against a committed baseline dict.
-
-    ``measured`` maps band metric names to numbers (None/missing =
-    not measured on this host).  ``baseline`` is the parsed committed
-    ``BENCH_*.json`` (or None when the file is absent -> every band is
-    ``new``).  ``comparable_env=False`` downgrades *absolute* bands to
-    ``env-skipped`` with ``env_reason`` -- ratios stay comparable.
-    """
-    entries = []
-    for band in bands:
-        base = (resolve_path(baseline, band.path)
-                if baseline is not None else None)
-        value = measured.get(band.metric)
-        if base is None:
-            entries.append(DiffEntry(
-                band.metric, STATUS_NEW, measured=value,
-                reason="no committed baseline",
-            ))
-            continue
-        if band.kind == "absolute" and not comparable_env:
-            entries.append(DiffEntry(
-                band.metric, STATUS_ENV_SKIPPED, measured=value,
-                baseline=base,
-                reason=env_reason or "hardware class differs from baseline",
-            ))
-            continue
-        if value is None:
-            entries.append(DiffEntry(
-                band.metric, STATUS_ENV_SKIPPED, baseline=base,
-                reason=env_reason or "not measured on this host",
-            ))
-            continue
-        if band.within(value, base):
-            entries.append(DiffEntry(
-                band.metric, STATUS_OK, measured=value, baseline=base,
-                reason="within {:.0%} of baseline".format(band.tolerance),
-            ))
-        else:
-            entries.append(DiffEntry(
-                band.metric, STATUS_REGRESSION, measured=value,
-                baseline=base,
-                reason="beyond {:.0%} tolerance".format(band.tolerance),
-            ))
-    return entries

@@ -27,20 +27,16 @@ FENCED_SCENARIOS = [
 ]
 
 
-@pytest.mark.parametrize("name", FENCED_SCENARIOS)
-def test_fenced_coalescing_explores_clean(name):
-    report = explore(get_scenario(name), max_states=200000)
-    print(report.summary())
-    assert not report.truncated
-    assert report.violation_count == 0, [
-        (list(v.schedule), v.messages) for v in report.violations
-    ]
+MAX_STATES = 200000
 
 
-def test_coalesced_serves_actually_happen():
-    # Attach a terminal-outcome collector: some explored schedule must
-    # end with a reader having been served from a co-located flight, or
-    # the clean verdicts above say nothing about coalescing.
+@pytest.fixture(scope="module")
+def fig3_explored():
+    """``(report, terminal statuses)`` of one coalesced-fill-fig3 run.
+
+    The collector returns ``coalesced_final_checks`` unchanged, so the
+    verdict is the registered scenario's and both tests below share it.
+    """
     base = get_scenario("coalesced-fill-fig3")
     statuses = set()
 
@@ -48,15 +44,40 @@ def test_coalesced_serves_actually_happen():
         statuses.update(run.result for run in runs.values())
         return coalesced_final_checks(world, runs)
 
-    probe = Scenario("coalesced-probe", base.build, check_final=collect)
-    report = explore(probe, max_states=200000)
+    probe = Scenario(base.name, base.build, check_final=collect)
+    return explore(probe, max_states=MAX_STATES), statuses
+
+
+@pytest.fixture(scope="module")
+def unfenced_report():
+    return explore(get_scenario("coalesced-unfenced"), max_states=MAX_STATES)
+
+
+@pytest.mark.parametrize("name", FENCED_SCENARIOS)
+def test_fenced_coalescing_explores_clean(name, request):
+    if name == "coalesced-fill-fig3":
+        report, _statuses = request.getfixturevalue("fig3_explored")
+    else:
+        report = explore(get_scenario(name), max_states=MAX_STATES)
+    print(report.summary())
+    assert not report.truncated
+    assert report.violation_count == 0, [
+        (list(v.schedule), v.messages) for v in report.violations
+    ]
+
+
+def test_coalesced_serves_actually_happen(fig3_explored):
+    # Some explored schedule must end with a reader having been served
+    # from a co-located flight, or the clean verdicts above say nothing
+    # about coalescing.
+    report, statuses = fig3_explored
     assert report.ok
     assert "coalesced" in statuses, statuses
 
 
-def test_unfenced_waiter_loses_and_is_caught():
+def test_unfenced_waiter_loses_and_is_caught(unfenced_report):
     scenario = get_scenario("coalesced-unfenced")
-    report = explore(scenario, max_states=200000)
+    report = unfenced_report
     assert not report.truncated
     assert report.violation_count > 0
     messages = [m for v in report.violations for m in v.messages]
@@ -70,10 +91,9 @@ def test_unfenced_waiter_loses_and_is_caught():
     assert not replayed.ok
 
 
-def test_unfenced_violation_shrinks_to_the_full_handoff():
+def test_unfenced_violation_shrinks_to_the_full_handoff(unfenced_report):
     scenario = get_scenario("coalesced-unfenced")
-    report = explore(scenario, max_states=200000)
-    result = shrink(scenario, report.violations[0].schedule)
+    result = shrink(scenario, unfenced_report.violations[0].schedule)
     assert result.minimal
     # The 1-minimal counterexample needs all four sessions: the filler's
     # stale flight, the writer that voids it, the plain reader whose I

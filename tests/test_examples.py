@@ -49,8 +49,3 @@ class TestExamples:
     def test_social_network(self, monkeypatch, capsys):
         output = run_example("social_network.py", monkeypatch, capsys)
         assert "the IQ framework produced exactly 0%" in output
-
-    @pytest.mark.slow
-    def test_linkbench_app(self, monkeypatch, capsys):
-        output = run_example("linkbench_app.py", monkeypatch, capsys)
-        assert "unpredictable reads: 0.000%" in output
