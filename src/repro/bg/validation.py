@@ -25,8 +25,16 @@ extension encodes the paper's re-arrangement rule: a read overlapping a
 mid-flight write session may serialize before it and legitimately observe
 the pre-write value.  Anything outside the window is unpredictable data
 (stale): exactly what Tables 1 and 7 count.
+
+A timeline keeps only the history some window can still reach: the last
+value at or before the earliest floor that is open (any read whose floors
+are still held) or could yet be handed out (an in-flight writer's
+begin-point, or now), and everything after it.  Older entries are dropped
+as new ones are recorded, so a run's memory follows its concurrency, not
+its length, and no verdict differs from the untrimmed log's.
 """
 
+import collections
 import itertools
 import threading
 
@@ -37,10 +45,33 @@ class _ItemTimeline:
     __slots__ = ("history", "inflight")
 
     def __init__(self, initial_seq, initial_value):
-        #: list of (seq, value), ascending by seq
+        #: list of (seq, value), ascending by seq; trimmed by ``record``
         self.history = [(initial_seq, initial_value)]
         #: write handle id -> begin seq
         self.inflight = {}
+
+    def window(self, floor, end):
+        """Values held over ``[floor, end]``, newest first: everything
+        committed inside the window, then the value current at ``floor``."""
+        for seq, value in reversed(self.history):
+            if seq <= end:
+                yield value
+                if seq <= floor:
+                    return
+
+
+class _ReadWindow(dict):
+    """``{item: floor}`` of one read, as :meth:`ValidationLog.read_begin`
+    returns it.  The window stays open -- the log keeps what its floors
+    can reach -- for as long as the reader holds this object."""
+
+    # Both set by read_begin (one per read action: no __init__ frame).
+    __slots__ = ("_token", "_closed")
+
+    def __del__(self):
+        # May run in any thread at any point, so it only queues; the log
+        # forgets the window under its own lock.
+        self._closed.append(self._token)
 
 
 class WriteHandle:
@@ -66,6 +97,11 @@ class ValidationLog:
         self._current_seq = 0
         self._items = {}
         self._handles = itertools.count(1)
+        self._windows = itertools.count(1)
+        #: token of each live read window -> its lowest floor
+        self._open = {}
+        #: tokens of dropped read windows, not yet removed from _open
+        self._closed = collections.deque()
         # statistics
         self._reads = 0
         self._unpredictable = 0
@@ -97,13 +133,33 @@ class ValidationLog:
             return handle
 
     def record(self, item, value):
-        """Record an item's new committed value (call from on_commit)."""
+        """Record an item's new committed value (call from on_commit).
+
+        Also drops the history no window can reach any more: all but the
+        newest entry at or before the earliest floor that is open or could
+        still be handed out.
+        """
         with self._lock:
             seq = next(self._seq)
             self._current_seq = seq
             timeline = self._items.get(item)
-            if timeline is not None:
-                timeline.history.append((seq, value))
+            if timeline is None:
+                return
+            history = timeline.history
+            history.append((seq, value))
+            self._forget_closed()
+            reach = min(
+                [seq, *timeline.inflight.values(), *self._open.values()]
+            )
+            for index in range(len(history) - 1, 0, -1):
+                if history[index][0] <= reach:
+                    del history[:index]
+                    break
+
+    def _forget_closed(self):
+        closed = self._closed
+        while closed:
+            del self._open[closed.popleft()]
 
     def write_end(self, handle):
         """The write session's KVS operations are complete."""
@@ -119,19 +175,24 @@ class ValidationLog:
         """Capture per-item window floors at read start.
 
         Returns ``{item: floor_seq}`` where the floor is backed up to the
-        begin-seq of the oldest in-flight writer of the item.
+        begin-seq of the oldest in-flight writer of the item.  Hold the
+        returned mapping until the read's last :meth:`validate`.
         """
         with self._lock:
-            floors = {}
+            if self._closed:
+                self._forget_closed()
+            floors = _ReadWindow()
+            floors._closed = self._closed
+            floors._token = next(self._windows)
+            current = lowest = self._current_seq
             for item in items:
                 timeline = self._items.get(item)
-                if timeline is None:
-                    floors[item] = self._current_seq
-                    continue
-                floor = self._current_seq
-                if timeline.inflight:
-                    floor = min(floor, min(timeline.inflight.values()))
+                floor = current
+                if timeline is not None and timeline.inflight:
+                    floor = min(current, min(timeline.inflight.values()))
+                    lowest = min(lowest, floor)
                 floors[item] = floor
+            self._open[floors._token] = lowest
             return floors
 
     def read_end(self):
@@ -145,26 +206,23 @@ class ValidationLog:
             timeline = self._items.get(item)
             if timeline is None:
                 return None
-            acceptable = set()
-            last_before = None
-            for seq, value in timeline.history:
-                if seq <= floor:
-                    last_before = value
-                elif seq <= end:
-                    acceptable.add(value)
-                else:
-                    break
-            if last_before is not None:
-                acceptable.add(last_before)
-            return acceptable
+            return set(timeline.window(floor, end))
 
     def validate(self, item, observed, floors, end, kind=None):
         """Check one observed value; returns True when acceptable."""
-        acceptable = self.acceptable_values(item, floors[item], end)
         with self._lock:
             self._reads += 1
-            if acceptable is None or observed in acceptable:
+            timeline = self._items.get(item)
+            if timeline is None:
                 return True
+            floor = floors[item]
+            # timeline.window(), unrolled: this runs once per read
+            for seq, value in reversed(timeline.history):
+                if seq <= end:
+                    if value == observed:
+                        return True
+                    if seq <= floor:
+                        break
             self._unpredictable += 1
             label = kind or (item[0] if isinstance(item, tuple) else str(item))
             self._unpredictable_by_item_kind[label] = (
@@ -188,6 +246,11 @@ class ValidationLog:
             if self._reads == 0:
                 return 0.0
             return 100.0 * self._unpredictable / self._reads
+
+    def history_size(self):
+        """History entries currently kept, over all items."""
+        with self._lock:
+            return sum(len(t.history) for t in self._items.values())
 
     def breakdown(self):
         """Unpredictable counts per item kind (diagnostics)."""

@@ -212,6 +212,14 @@ def _cmd_metrics(args):
     # like a memcached process); render both.
     print(system.cache.stats.registry.render_prometheus(), end="")
     print(system.consistency_client.metrics.render_prometheus(), end="")
+    # The engine counts in plain ints under its latch; mirror them into a
+    # registry only here, at export time.
+    from repro.obs.registry import MetricsRegistry
+
+    sql = MetricsRegistry()
+    for name, value in system.db.stats().items():
+        sql.gauge("sql_" + name).set(value)
+    print(sql.render_prometheus(), end="")
     return 0
 
 

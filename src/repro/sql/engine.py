@@ -6,9 +6,16 @@ statement is atomic, while *transactions* interleave freely between
 statements -- exactly the granularity at which snapshot isolation races
 manifest.  Commits and aborts also run under the latch so trigger-deferred
 actions observe a consistent order.
+
+Reclamation is amortised onto the commit path: once the rows written
+since the last :meth:`Database.vacuum` pass outnumber the rows stored
+(and :data:`VACUUM_FLOOR`), the committing connection runs the pass under
+the latch it already holds.  Stored state therefore tracks live rows plus
+open transactions, not the number of transactions ever run.
 """
 
 import threading
+import time
 
 from repro.errors import (
     SchemaError,
@@ -27,6 +34,11 @@ from repro.sql.triggers import Trigger, TriggerRegistry, TriggerTiming
 from repro.sql.types import type_by_name
 
 
+#: Row writes below which a commit never starts a vacuum pass: a table of
+#: a few rows keeps its dead versions until someone calls ``vacuum()``.
+VACUUM_FLOOR = 1024
+
+
 class Database:
     """An in-process multi-versioned relational database."""
 
@@ -42,6 +54,16 @@ class Database:
         self._executor = Executor(self)
         self._statement_cache = {}
         self._statement_cache_lock = threading.Lock()
+        # Which access path ran and what reclamation cost (see stats());
+        # plain ints, bumped only under the latch.
+        self.pk_probes = 0
+        self.index_probes = 0
+        self.full_scans = 0
+        self.rows_examined = 0
+        self.rows_written = 0
+        self.vacuum_runs = 0
+        self.vacuum_max_pause_us = 0
+        self._written_at_vacuum = 0
         #: Optional write-ahead log providing durability; see repro.sql.wal.
         self.wal = None
         if wal_path is not None:
@@ -148,12 +170,52 @@ class Database:
     # -- maintenance -------------------------------------------------------------
 
     def vacuum(self):
-        """Reclaim dead versions across all tables; returns count removed."""
+        """Reclaim dead versions across all tables; returns count removed.
+
+        Afterwards the transaction manager forgets every finished
+        transaction that no surviving version names.
+        """
         with self._latch:
+            started = time.perf_counter()
             horizon = self.txmanager.gc_horizon()
-            return sum(
-                storage.vacuum(horizon) for storage in self._tables.values()
+            named = set()
+            reclaimed = sum(
+                storage.vacuum(horizon, named)
+                for storage in self._tables.values()
             )
+            self.txmanager.forget_finished_except(named)
+            self._written_at_vacuum = self.rows_written
+            self.vacuum_runs += 1
+            self.vacuum_max_pause_us = max(
+                self.vacuum_max_pause_us,
+                int((time.perf_counter() - started) * 1e6),
+            )
+            return reclaimed
+
+    def _vacuum_if_due(self):
+        """The amortised trigger; runs under the committer's latch."""
+        written = self.rows_written - self._written_at_vacuum
+        if written > VACUUM_FLOOR and written > sum(
+            storage.row_count() for storage in self._tables.values()
+        ):
+            self.vacuum()
+
+    def stats(self):
+        """Access-path, reclamation and stored-state counters as ints."""
+        with self._latch:
+            return {
+                "pk_probes": self.pk_probes,
+                "index_probes": self.index_probes,
+                "full_scans": self.full_scans,
+                "rows_examined": self.rows_examined,
+                "vacuum_runs": self.vacuum_runs,
+                "vacuum_max_pause_us": self.vacuum_max_pause_us,
+                "versions": sum(
+                    storage.version_count()
+                    for storage in self._tables.values()
+                ),
+                "tx_records": self.txmanager.record_count(),
+            }
 
     def _parse_cached(self, sql):
         with self._statement_cache_lock:
@@ -212,6 +274,7 @@ class Connection:
                 ops = ops_from_transaction(self._tx, self.db.schema_of)
                 self.db.wal.log_commit(self._tx.txid, ops)
             self.db.txmanager.commit(self._tx, clock_keys=clock_keys)
+            self.db._vacuum_if_due()
         self._tx = None
 
     def rollback(self):

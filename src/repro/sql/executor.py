@@ -1,10 +1,11 @@
 """Statement execution against the versioned storage.
 
-The executor is deliberately simple: single-table scans accelerated by
-hash-index probes when the WHERE clause binds all columns of an index, and
-hash joins for ``INNER JOIN ... ON`` equality conditions.  Every access
-path rechecks visibility and the full predicate, so the indexes may be
-stale supersets (see :mod:`repro.sql.indexes`).
+The executor is deliberately simple: single-table access through the
+primary-key map or a hash index when the WHERE clause binds all of its
+columns by equality, a heap scan otherwise, and hash joins for ``INNER
+JOIN ... ON`` equality conditions.  Every access path rechecks visibility
+and the full predicate, so the pk map and the indexes may be stale
+supersets (see :mod:`repro.sql.indexes`).
 """
 
 from repro.errors import SchemaError, SQLError
@@ -37,25 +38,46 @@ class Executor:
     # -- access paths ----------------------------------------------------------
 
     def _candidate_rows(self, tx, storage, alias, where, params):
-        """Yield ``(rowid, values)`` using an index when one applies."""
-        bindings = ex.equality_bindings(where)
-        applicable = {}
-        for qualifier, column, value_expr in bindings:
+        """Yield ``(rowid, values)`` of visible rows that may satisfy ``where``.
+
+        The columns ``where`` binds by equality choose the access path: the
+        primary-key map when they cover the key, else the covering index
+        that binds the most columns, else the whole heap.  The first two
+        are supersets probed and rechecked the same way; every caller
+        applies the full predicate to what comes back.
+        """
+        db = self.db
+        schema = storage.schema
+        bound = {}
+        for qualifier, column, value_expr in ex.equality_bindings(where):
             if qualifier is not None and qualifier != alias:
                 continue
-            if not storage.schema.has_column(column):
+            if not schema.has_column(column):
                 continue
-            applicable.setdefault(column.lower(), value_expr)
+            bound.setdefault(column.lower(), value_expr)
+        columns = probe = None
+        if schema.pk_bound_by(bound.keys()):
+            columns, probe = schema.primary_key, storage.pk_probe
+            db.pk_probes += 1
+        else:
+            covering = [i for i in storage.indexes if i.covers(bound.keys())]
+            if covering:
+                index = max(covering, key=lambda i: len(i.column_names))
+                columns, probe = index.column_names, index.probe
+                db.index_probes += 1
+        if probe is None:
+            return self._full_scan(tx, storage)
         ctx = ex.EvalContext(params=params)
-        for index in storage.indexes:
-            if index.covers(applicable.keys()):
-                key = tuple(
-                    applicable[c.lower()].evaluate(ctx)
-                    for c in index.column_names
-                )
-                yield from storage.scan_rowids(tx, index.probe(key))
-                return
-        yield from storage.scan(tx)
+        rowids = probe(
+            tuple(bound[c.lower()].evaluate(ctx) for c in columns)
+        )
+        db.rows_examined += len(rowids)
+        return storage.scan_rowids(tx, rowids)
+
+    def _full_scan(self, tx, storage):
+        self.db.full_scans += 1
+        self.db.rows_examined += storage.row_count()
+        return storage.scan(tx)
 
     def _filter(self, rows_env_iter, where, params):
         for rows_by_alias, default_rows in rows_env_iter:
@@ -234,7 +256,8 @@ class Executor:
                 probe_expr, build_expr = condition.right, condition.left
 
         joined_rows = [
-            schema.row_dict(values) for _rowid, values in storage.scan(tx)
+            schema.row_dict(values)
+            for _rowid, values in self._full_scan(tx, storage)
         ]
 
         if build_expr is not None:
@@ -363,6 +386,7 @@ class Executor:
             values = schema.coerce_row(values_by_name)
             storage.insert(tx, values)
             inserted += 1
+            self.db.rows_written += 1
             self.db.triggers.fire(
                 connection, statement.table, TriggerEvent.INSERT,
                 None, schema.row_dict(values), tx,
@@ -399,6 +423,7 @@ class Executor:
             if result is None:
                 continue
             updated += 1
+            self.db.rows_written += 1
             self.db.triggers.fire(
                 connection, statement.table, TriggerEvent.UPDATE,
                 old_row, schema.row_dict(new_values), tx,
@@ -417,6 +442,7 @@ class Executor:
             if result is None:
                 continue
             deleted += 1
+            self.db.rows_written += 1
             self.db.triggers.fire(
                 connection, statement.table, TriggerEvent.DELETE,
                 schema.row_dict(values), None, tx,

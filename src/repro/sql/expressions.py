@@ -77,14 +77,13 @@ class ColumnRef(Expr):
         self.name = name
 
     def evaluate(self, ctx):
-        lowered = self.name.lower()
         if self.qualifier is not None:
             row = ctx.rows.get(self.qualifier)
             if row is None:
                 raise SchemaError("unknown table alias {!r}".format(self.qualifier))
-            return _row_get(row, lowered, self)
+            return _row_get(row, self.name, self)
         for row in ctx.default_rows:
-            value = _row_get(row, lowered, None)
+            value = _row_get(row, self.name, None)
             if value is not _MISSING:
                 return value
         raise SchemaError("unknown column {!r}".format(self.name))
@@ -101,7 +100,12 @@ class ColumnRef(Expr):
 _MISSING = object()
 
 
-def _row_get(row, lowered_name, ref):
+def _row_get(row, name, ref):
+    """``row[name]``: the name as written first, then case-insensitively."""
+    value = row.get(name, _MISSING)
+    if value is not _MISSING:
+        return value
+    lowered_name = name.lower()
     for key, value in row.items():
         if key.lower() == lowered_name:
             return value

@@ -21,6 +21,7 @@ class HashIndex:
         self.table_name = schema.name
         self.column_names = tuple(column_names)
         self._positions = tuple(schema.column_index(c) for c in column_names)
+        self._lowered = frozenset(c.lower() for c in column_names)
         self._buckets = {}
 
     def key_for(self, values):
@@ -45,14 +46,14 @@ class HashIndex:
         for key in empty:
             del self._buckets[key]
 
-    def covers(self, column_names):
-        """True when this index can serve an equality probe on ``column_names``.
+    def covers(self, lowered_names):
+        """True when an equality probe binding the (lower-cased) columns
+        ``lowered_names`` can use this index.
 
         The probe must bind *all* indexed columns (hash index -- no prefix
         scans).
         """
-        lowered = {c.lower() for c in column_names}
-        return {c.lower() for c in self.column_names} <= lowered
+        return self._lowered.issubset(lowered_names)
 
     def __len__(self):
         return sum(len(bucket) for bucket in self._buckets.values())

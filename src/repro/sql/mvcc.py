@@ -8,22 +8,31 @@ follows the classic PostgreSQL-style rules:
   timestamp at or before the reader's snapshot;
 * the deleter (if any) must be neither the reader itself nor committed at
   or before the reader's snapshot.
-"""
 
-from repro.sql.transactions import TransactionStatus
+Every question asked here is about a *finished* writer, and is answered
+from the manager's ``commit_ts`` map and ``aborted`` set without its
+mutex (see :class:`~repro.sql.transactions.TransactionManager`): a txid
+in neither is still open.
+"""
 
 
 class Visibility:
     """Evaluates version visibility against a transaction manager."""
 
     def __init__(self, txmanager):
-        self._txm = txmanager
+        self._commit_ts_of = txmanager.commit_ts.get
+        self._aborted = txmanager.aborted
 
     def _committed_before(self, txid, snapshot):
         """True when ``txid`` committed with commit_ts <= snapshot."""
-        if self._txm.status_of(txid) != TransactionStatus.COMMITTED:
-            return False
-        return self._txm.commit_ts_of(txid) <= snapshot
+        commit_ts = self._commit_ts_of(txid)
+        return commit_ts is not None and commit_ts <= snapshot
+
+    def committed(self, txid):
+        return self._commit_ts_of(txid) is not None
+
+    def aborted(self, txid):
+        return txid in self._aborted
 
     def version_visible(self, version, tx):
         """Is ``version`` visible to reading transaction ``tx``?"""
@@ -48,7 +57,7 @@ class Visibility:
         it was deleted by a transaction that committed at or before the
         garbage-collection ``horizon``.
         """
-        if self._txm.status_of(version.xmin) == TransactionStatus.ABORTED:
+        if version.xmin in self._aborted:
             return True
         if version.xmax is None:
             return False
@@ -70,4 +79,4 @@ class Visibility:
             return False
         if version.xmax == tx.txid:
             return False
-        return self._txm.status_of(version.xmax) != TransactionStatus.ABORTED
+        return version.xmax not in self._aborted

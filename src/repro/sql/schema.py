@@ -48,6 +48,10 @@ class TableSchema:
                     "primary key column {!r} not in table {!r}".format(pk_col, name)
                 )
             self.columns[self._by_name[pk_col.lower()]].nullable = False
+        self._pk_positions = tuple(
+            self._by_name[c.lower()] for c in self.primary_key
+        )
+        self._pk_lowered = frozenset(c.lower() for c in self.primary_key)
 
     def column_index(self, name):
         """Position of column ``name`` (case-insensitive)."""
@@ -96,7 +100,14 @@ class TableSchema:
         """Extract the primary-key tuple from a storage tuple, or ``None``."""
         if not self.primary_key:
             return None
-        return tuple(row[self.column_index(c)] for c in self.primary_key)
+        return tuple(row[i] for i in self._pk_positions)
+
+    def pk_bound_by(self, lowered_names):
+        """True when the table has a primary key and an equality probe
+        binding the (lower-cased) columns ``lowered_names`` fixes all of it."""
+        return bool(self._pk_lowered) and self._pk_lowered.issubset(
+            lowered_names
+        )
 
     def row_dict(self, row):
         """Convert a storage tuple to a ``{column: value}`` dict."""

@@ -15,7 +15,6 @@ import itertools
 
 from repro.errors import IntegrityError, TransactionAbortedError
 from repro.sql.mvcc import Visibility
-from repro.sql.transactions import TransactionStatus
 
 
 class RowVersion:
@@ -52,12 +51,12 @@ class TableStorage:
 
     def __init__(self, schema, txmanager):
         self.schema = schema
-        self._txm = txmanager
         self._visibility = Visibility(txmanager)
         self._rows = {}
         self._rowid_counter = itertools.count(1)
-        #: pk tuple -> set of rowids whose chains ever held that pk.  The
-        #: uniqueness check rechecks visibility, so stale entries are safe.
+        #: pk tuple -> set of rowids whose chains ever held that pk: like a
+        #: secondary index, a superset that the uniqueness check and the
+        #: executor's point lookups recheck, so stale entries are safe.
         self._pk_rowids = {}
         #: Secondary indexes attached by the engine (see indexes.py).
         self.indexes = []
@@ -88,6 +87,10 @@ class TableStorage:
             if version is not None:
                 yield rowid, version.values
 
+    def pk_probe(self, pk):
+        """Candidate rowids for the exact primary-key tuple (superset)."""
+        return self._pk_rowids.get(pk, ())
+
     def scan_rowids(self, tx, rowids):
         """Like :meth:`scan` but restricted to candidate ``rowids``."""
         for rowid in rowids:
@@ -108,14 +111,12 @@ class TableStorage:
         snapshot; inserting a duplicate would then break uniqueness under
         first-committer-wins, so the inserter must abort.
         """
-        creator_status = self._txm.status_of(version.xmin)
-        if creator_status == TransactionStatus.ABORTED:
+        if self._visibility.aborted(version.xmin):
             return False
         if version.xmax is None:
             return True
-        deleter_status = self._txm.status_of(version.xmax)
         # The delete might still abort; the version is then live again.
-        return deleter_status != TransactionStatus.COMMITTED
+        return not self._visibility.committed(version.xmax)
 
     def _check_pk_unique(self, tx, pk, ignore_rowid=None):
         if pk is None:
@@ -182,7 +183,7 @@ class TableStorage:
             # A newer version exists that we cannot see: a concurrent
             # transaction already updated the row past our snapshot.
             newest = logical_row.newest()
-            if self._txm.status_of(newest.xmin) != TransactionStatus.ABORTED:
+            if not self._visibility.aborted(newest.xmin):
                 raise TransactionAbortedError(
                     "row {} of table {!r} was updated by a concurrent "
                     "transaction".format(rowid, self.schema.name)
@@ -231,11 +232,13 @@ class TableStorage:
 
     # -- maintenance -----------------------------------------------------------
 
-    def vacuum(self, horizon):
+    def vacuum(self, horizon, named=None):
         """Physically drop versions no snapshot at/after ``horizon`` can see.
 
         Returns the number of versions reclaimed.  Empty chains are removed
-        from the heap and the pk map.
+        from the heap, the pk map and the indexes.  What the surviving
+        versions carry as ``xmin``/``xmax`` (txids, and ``None`` for "not
+        deleted") is added to the set ``named``.
         """
         reclaimed = 0
         dead_rowids = []
@@ -249,6 +252,10 @@ class TableStorage:
             logical_row.versions = keep
             if not keep:
                 dead_rowids.append(rowid)
+            elif named is not None:
+                for version in keep:
+                    named.add(version.xmin)
+                    named.add(version.xmax)
         for rowid in dead_rowids:
             del self._rows[rowid]
         if dead_rowids:

@@ -84,18 +84,30 @@ class TransactionManager:
     """Allocates txids/snapshots and arbitrates commit ordering.
 
     A single mutex orders begin/commit/abort; statement execution holds the
-    engine latch separately (see :class:`repro.sql.engine.Database`).  The
-    manager keeps the status and commit timestamp of every transaction it
-    has ever issued, which the visibility checks consult.  ``gc_horizon``
-    lets a vacuum pass prune version chains no live snapshot can see.
+    engine latch separately (see :class:`repro.sql.engine.Database`).
+
+    What the manager remembers is bounded by what is stored, not by how
+    many transactions ever ran: open transactions, plus the outcome of
+    each finished *writer* until a vacuum pass finds no stored version
+    naming it (:meth:`forget_finished_except`).  A transaction that wrote
+    nothing leaves no record.  ``gc_horizon`` lets the pass prune version
+    chains no live snapshot can see.
     """
 
     def __init__(self):
         self._lock = threading.Lock()
         self._txid_counter = itertools.count(1)
         self._commit_seq = 0
-        self._transactions = {}
-        self._active = set()
+        #: txid -> open Transaction
+        self._active = {}
+        #: txid -> commit_ts of each committed writer a stored version
+        #: may name.  Visibility reads it without the mutex: an entry is
+        #: published before any snapshot at or past its timestamp exists,
+        #: and a single ``dict.get`` is atomic.
+        self.commit_ts = {}
+        #: txids of aborted writers a stored version may name (same
+        #: mutex-free read rule).
+        self.aborted = set()
         #: key -> highest promised "no commit before this tick" horizon
         #: (see repro.sql.clock; registered and consumed under _lock so
         #: promises serialize with commit ordering).
@@ -116,8 +128,7 @@ class TransactionManager:
         with self._lock:
             txid = next(self._txid_counter)
             tx = Transaction(txid, self._commit_seq, isolation)
-            self._transactions[txid] = tx
-            self._active.add(txid)
+            self._active[txid] = tx
             return tx
 
     def refresh_snapshot(self, tx):
@@ -159,7 +170,9 @@ class TransactionManager:
                             self._key_clocks.get(key, 0) + 1, horizon
                         )
             tx.status = TransactionStatus.COMMITTED
-            self._active.discard(tx.txid)
+            if tx.write_set:
+                self.commit_ts[tx.txid] = tx.commit_ts
+            self._active.pop(tx.txid, None)
             if clock_keys:
                 for key in clock_keys:
                     previous = self._last_clock_write.get(key)
@@ -181,24 +194,28 @@ class TransactionManager:
         tx.ensure_active()
         with self._lock:
             tx.status = TransactionStatus.ABORTED
-            self._active.discard(tx.txid)
+            if tx.write_set:
+                self.aborted.add(tx.txid)
+            self._active.pop(tx.txid, None)
         for action in tx.on_abort:
             action()
         tx.on_abort = []
 
-    def status_of(self, txid):
-        with self._lock:
-            tx = self._transactions.get(txid)
-            return tx.status if tx else None
+    def forget_finished_except(self, named):
+        """Drop the outcome of every finished writer not in ``named``.
 
-    def commit_ts_of(self, txid):
+        Called by the vacuum pass with the txids its surviving versions
+        carry; nothing stored can ask about the others again.
+        """
         with self._lock:
-            tx = self._transactions.get(txid)
-            return tx.commit_ts if tx else None
+            for txid in [t for t in self.commit_ts if t not in named]:
+                del self.commit_ts[txid]
+            self.aborted &= named
 
-    def get(self, txid):
+    def record_count(self):
+        """Open transactions plus remembered finished writers."""
         with self._lock:
-            return self._transactions.get(txid)
+            return len(self._active) + len(self.commit_ts) + len(self.aborted)
 
     def current_commit_seq(self):
         with self._lock:
@@ -266,4 +283,4 @@ class TransactionManager:
         with self._lock:
             if not self._active:
                 return self._commit_seq
-            return min(self._transactions[t].snapshot for t in self._active)
+            return min(tx.snapshot for tx in self._active.values())
