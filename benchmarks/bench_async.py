@@ -1,87 +1,58 @@
-"""Event-loop serving and process-per-shard deployment benchmarks.
+"""Process-per-shard deployment benchmark.
 
-Two experiments, one per tentpole claim of the PR 7 transport refactor:
-
-* ``connection-sweep`` -- N concurrent clients (8 up to 1024), each
-  pipelining 10-key ``get`` batches against a real out-of-process
-  server, once per transport.  The load generator is itself a single
-  selector loop, so both servers face an identical, scheduler-neutral
-  client.  The claim: the thread-per-connection server pays one OS
-  thread (stack, context switches, GIL handoffs) per connection and
-  falls behind as N grows, while the event loop multiplexes the whole
-  sweep on one thread -- async must beat threaded pipelined read
-  throughput at the high end of the sweep.
-* ``shard-deployment`` -- a 4-shard composite write session
-  (``qar_many`` + parallel-fanout ``commit``) driven over real sockets
-  against (a) four shard servers co-located in ONE process and (b) the
-  process-per-shard cluster (:class:`repro.net.cluster.IQCluster`),
-  each measured idle and under background read load from a separate
-  loader process.  Co-located shards share a GIL, so the four commit
-  legs serialize server-side; separate processes apply them truly in
-  parallel -- when the host has cores to land them on, so the
-  cluster-beats-co-located gate applies on multi-core hosts only.  The
-  cluster's idle commit must beat the simulated-RTT
-  ``parallel_commit_ms`` baseline recorded in ``BENCH_pipeline.json``
-  everywhere.
+``shard-deployment`` -- a 4-shard composite write session
+(``qar_many`` + parallel-fanout ``commit``) driven over real sockets
+against (a) four shard servers co-located in ONE process and (b) the
+process-per-shard cluster (:class:`repro.net.cluster.IQCluster`), each
+measured idle and under background read load from a separate loader
+process.  Co-located shards share a GIL, so the four commit legs
+serialize server-side; separate processes apply them truly in parallel
+-- when the host has cores to land them on, so the
+cluster-beats-co-located gate applies on multi-core hosts only.  The
+cluster's idle commit must beat the simulated-RTT
+``parallel_commit_ms`` baseline recorded in ``BENCH_pipeline.json``
+everywhere.
 
 Results land in ``BENCH_async.json`` at the repository root and
 ``benchmarks/out/BENCH_async.txt``.  Standalone::
 
     python benchmarks/bench_async.py [--smoke]
 
-``--smoke`` is the CI entry: the same sweep at shorter durations with a
-lenient gate (the full gate needs quiet neighbors CI cannot promise).
+``--smoke`` is the CI entry: fewer trials, and the loaded comparison is
+reported but not gated.
 """
 
 import argparse
 import json
 import os
-import selectors
-import socket
 import statistics
 import subprocess
 import sys
 import time
 
-from _common import emit, format_table
+from _common import emit, write_bench_json
 
-from repro.net import RemoteIQServer, ResilientIQServer
+from repro.net import ResilientIQServer
 from repro.net.cluster import IQCluster
 from repro.sharding import ShardedIQServer
 
 ROOT_DIR = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 BATCH_KEYS = 10
-#: Thread-per-connection holds its own at club sizes; the event loop's
-#: claim lives at the high end, where a thousand server threads thrash
-#: the scheduler while one selector loop stays flat.  The smoke sweep
-#: stops at 512 because CI runners commonly cap open fds at 1024.
-SWEEP_FULL = (8, 64, 512, 1024)
-SWEEP_SMOKE = (8, 64, 512)
 SHARDS = 4
-
-HEADERS = ["Connections", "Threaded", "Async", "Async/Threaded", "Unit"]
 
 
 # ---------------------------------------------------------------------------
 # Out-of-process servers
 # ---------------------------------------------------------------------------
 
-_SERVER_SCRIPT = """\
-from repro.net.server import server_class
-server = server_class({transport!r})(("127.0.0.1", 0))
-print(server.port, flush=True)
-server.serve_forever()
-"""
-
 #: Four shard servers in ONE process: the deployment the cluster must
-#: beat.  Each runs the same transport on its own thread, but one GIL
-#: serializes their dispatch work.
+#: beat.  Each runs its own event loop on its own thread, but one GIL
+#: serializes their work.
 _COLOCATED_SCRIPT = """\
 import threading
-from repro.net.server import server_class
-cls = server_class({transport!r})
-servers = [cls(("127.0.0.1", 0)) for _ in range({shards})]
+from repro.net import AsyncIQServer
+servers = [AsyncIQServer(("127.0.0.1", 0)) for _ in range({shards})]
 print(" ".join(str(s.port) for s in servers), flush=True)
 threads = [
     threading.Thread(target=s.serve_forever, daemon=True) for s in servers
@@ -102,138 +73,6 @@ def _spawn(script):
     )
     ports = [int(word) for word in proc.stdout.readline().split()]
     return proc, ports
-
-
-# ---------------------------------------------------------------------------
-# Connection sweep: selector-driven load generator
-# ---------------------------------------------------------------------------
-
-class _LoadConnection:
-    """One pipelined client connection inside the load generator."""
-
-    __slots__ = ("sock", "out", "carry", "seen", "done")
-
-    END = b"END\r\n"
-
-    def __init__(self, port):
-        self.sock = socket.create_connection(("127.0.0.1", port), timeout=10)
-        self.sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-        self.sock.setblocking(False)
-        self.out = b""
-        self.carry = b""
-        self.seen = 0
-        self.done = 0
-
-
-def _sweep_one(port, connections, duration, request, batch):
-    """Drive ``connections`` pipelined clients for ``duration`` seconds.
-
-    Every connection keeps exactly one ``batch``-command burst in
-    flight: write the burst, count its ``END``-terminated replies, write
-    the next.  One selector loop serves every connection, so the
-    generator's own cost is identical whichever transport is under test.
-    """
-    selector = selectors.DefaultSelector()
-    conns = []
-    for _ in range(connections):
-        conn = _LoadConnection(port)
-        conn.out = request
-        selector.register(
-            conn.sock, selectors.EVENT_READ | selectors.EVENT_WRITE, conn
-        )
-        conns.append(conn)
-    start = time.perf_counter()
-    deadline = start + duration
-    try:
-        while True:
-            now = time.perf_counter()
-            if now >= deadline:
-                break
-            events = selector.select(timeout=min(0.05, deadline - now))
-            for key, mask in events:
-                conn = key.data
-                if mask & selectors.EVENT_WRITE and conn.out:
-                    try:
-                        sent = conn.sock.send(conn.out)
-                    except (BlockingIOError, InterruptedError):
-                        sent = 0
-                    except OSError:
-                        continue
-                    conn.out = conn.out[sent:]
-                    if not conn.out:
-                        selector.modify(conn.sock, selectors.EVENT_READ,
-                                        conn)
-                if mask & selectors.EVENT_READ:
-                    try:
-                        data = conn.sock.recv(65536)
-                    except (BlockingIOError, InterruptedError):
-                        continue
-                    except OSError:
-                        continue
-                    if not data:
-                        continue
-                    window = conn.carry + data
-                    conn.seen += window.count(_LoadConnection.END)
-                    conn.carry = window[-(len(_LoadConnection.END) - 1):]
-                    if conn.seen >= batch:
-                        conn.done += conn.seen
-                        conn.seen = 0
-                        conn.carry = b""
-                        conn.out = request
-                        selector.modify(
-                            conn.sock,
-                            selectors.EVENT_READ | selectors.EVENT_WRITE,
-                            conn,
-                        )
-        elapsed = time.perf_counter() - start
-        completed = sum(conn.done for conn in conns)
-    finally:
-        for conn in conns:
-            try:
-                conn.sock.close()
-            except OSError:
-                pass
-        selector.close()
-    return completed / elapsed if elapsed else 0.0
-
-
-def _run_sweep(transport, connection_counts, duration, repeats=1):
-    proc, (port,) = _spawn(_SERVER_SCRIPT.format(transport=transport))
-    try:
-        keys = ["sweep-key-%d" % i for i in range(BATCH_KEYS)]
-        with RemoteIQServer(port=port) as seed:
-            for key in keys:
-                seed.set(key, b"v" * 32)
-        request = b"".join(
-            "get {}\r\n".format(key).encode() for key in keys
-        )
-        results = {}
-        for count in connection_counts:
-            # Median over repeats: a loopback throughput point swings
-            # with scheduler noise, and the gate compares two of them.
-            results[count] = statistics.median(
-                _sweep_one(port, count, duration, request, BATCH_KEYS)
-                for _ in range(repeats)
-            )
-    finally:
-        proc.terminate()
-        proc.wait(timeout=5)
-    return results
-
-
-def _sweep_experiment(connection_counts, duration, repeats=1):
-    threaded = _run_sweep("threaded", connection_counts, duration, repeats)
-    evented = _run_sweep("async", connection_counts, duration, repeats)
-    sweep = []
-    for count in connection_counts:
-        sweep.append({
-            "connections": count,
-            "threaded_ops_s": threaded[count],
-            "async_ops_s": evented[count],
-            "ratio": (evented[count] / threaded[count]
-                      if threaded[count] else 0.0),
-        })
-    return sweep
 
 
 # ---------------------------------------------------------------------------
@@ -331,10 +170,8 @@ def _measure_commit_latency(ports, trials, background_load=False):
     return statistics.median(latencies) * 1000.0
 
 
-def _deployment_experiment(trials, transport="async"):
-    proc, ports = _spawn(_COLOCATED_SCRIPT.format(
-        transport=transport, shards=SHARDS
-    ))
+def _deployment_experiment(trials):
+    proc, ports = _spawn(_COLOCATED_SCRIPT.format(shards=SHARDS))
     try:
         colocated_ms = _measure_commit_latency(ports, trials)
         colocated_loaded_ms = _measure_commit_latency(
@@ -344,7 +181,7 @@ def _deployment_experiment(trials, transport="async"):
         proc.terminate()
         proc.wait(timeout=5)
 
-    cluster = IQCluster(shards=SHARDS, transport=transport)
+    cluster = IQCluster(shards=SHARDS)
     cluster.start()
     try:
         cluster_ms = _measure_commit_latency(cluster.ports, trials)
@@ -364,7 +201,6 @@ def _deployment_experiment(trials, transport="async"):
         )
     return {
         "shards": SHARDS,
-        "transport": transport,
         "trials": trials,
         # The loaded comparison measures parallelism the machine must be
         # able to express: on a single core the four shard processes
@@ -385,32 +221,13 @@ def _deployment_experiment(trials, transport="async"):
 # Harness
 # ---------------------------------------------------------------------------
 
-def run_experiment(connection_counts=SWEEP_FULL, duration=2.0,
-                   deployment_trials=40, repeats=3):
-    sweep = _sweep_experiment(connection_counts, duration, repeats)
-    deployment = _deployment_experiment(deployment_trials)
-    return {"connection_sweep": sweep, "shard_deployment": deployment}
+def run_experiment(deployment_trials=40):
+    return {"shard_deployment": _deployment_experiment(deployment_trials)}
 
 
 def render(results):
-    rows = [
-        [
-            str(point["connections"]),
-            "{:.0f}".format(point["threaded_ops_s"]),
-            "{:.0f}".format(point["async_ops_s"]),
-            "{:.2f}x".format(point["ratio"]),
-            "ops/s",
-        ]
-        for point in results["connection_sweep"]
-    ]
-    table = format_table(
-        "Event loop vs thread-per-connection: pipelined read throughput",
-        HEADERS, rows,
-    )
     deployment = results["shard_deployment"]
     lines = [
-        table,
-        "",
         "4-shard commit latency (median, idle / under background read "
         "load):",
         "  co-located (one process)   {:.3f} / {:.3f} ms".format(
@@ -439,37 +256,14 @@ def render(results):
 
 
 def emit_json(results):
-    path = os.path.join(ROOT_DIR, "BENCH_async.json")
-    payload = dict(results)
-    payload["benchmark"] = "bench_async"
-    payload["note"] = (
-        "connection sweep: one selector-loop load generator, pipelined "
-        "10-key get batches, real out-of-process servers over loopback; "
+    return write_bench_json("async", results, (
         "shard deployment: 4-shard composite commit over real sockets, "
         "co-located shards (one process, one GIL) vs the "
         "process-per-shard cluster"
-    )
-    with open(path, "w") as handle:
-        json.dump(payload, handle, indent=2)
-        handle.write("\n")
-    return path
+    ))
 
 
 def check(results, smoke=False):
-    sweep = results["connection_sweep"]
-    for point in sweep:
-        assert point["threaded_ops_s"] > 0, point
-        assert point["async_ops_s"] > 0, point
-    top = sweep[-1]
-    if smoke:
-        # CI neighbors are noisy; require the event loop to at least
-        # stay on the threaded server's heels at the high end.
-        assert top["ratio"] > 0.8, top
-    else:
-        assert top["ratio"] > 1.0, (
-            "async did not beat threaded at {} connections: {!r}"
-            .format(top["connections"], top)
-        )
     deployment = results["shard_deployment"]
     assert deployment["cluster_commit_ms"] > 0
     assert deployment["cluster_loaded_commit_ms"] > 0
@@ -490,12 +284,7 @@ def check(results, smoke=False):
 def test_async_scaling(benchmark):
     results = benchmark.pedantic(
         run_experiment,
-        kwargs={
-            "connection_counts": SWEEP_SMOKE,
-            "duration": 0.8,
-            "deployment_trials": 10,
-            "repeats": 1,
-        },
+        kwargs={"deployment_trials": 10},
         iterations=1, rounds=1,
     )
     check(results, smoke=True)
@@ -507,16 +296,10 @@ if __name__ == "__main__":
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument(
         "--smoke", action="store_true",
-        help="CI entry: scaled-down sweep, lenient high-end gate",
+        help="CI entry: fewer trials, loaded comparison not gated",
     )
     args = parser.parse_args()
-    if args.smoke:
-        results = run_experiment(
-            connection_counts=SWEEP_SMOKE, duration=1.0,
-            deployment_trials=15, repeats=1,
-        )
-    else:
-        results = run_experiment()
+    results = run_experiment(deployment_trials=15 if args.smoke else 40)
     check(results, smoke=args.smoke)
     emit("BENCH_async", render(results))
     print("wrote", emit_json(results))

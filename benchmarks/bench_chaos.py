@@ -59,12 +59,11 @@ def commit_phase_drop_plan():
     )])
 
 
-def run_technique(technique, threads=4, duration=1.5, seed=13,
-                  transport="threaded"):
+def run_technique(technique, threads=4, duration=1.5, seed=13):
     server = RestartableServer(lambda tid_start=1: IQServer(
         lease_config=LeaseConfig(i_lease_ttl=0.3, q_lease_ttl=0.3),
         tid_start=tid_start,
-    ), transport=transport)
+    ))
     server.start()
     injector = FaultInjector(commit_phase_drop_plan(), seed=seed)
     remote = ResilientIQServer(
@@ -127,11 +126,10 @@ def run_technique(technique, threads=4, duration=1.5, seed=13,
     return row, summary
 
 
-def run_experiment(threads=4, duration=1.5, transport="threaded"):
+def run_experiment(threads=4, duration=1.5):
     rows, summaries = [], []
     for technique in TECHNIQUES:
-        row, summary = run_technique(technique, threads, duration,
-                                     transport=transport)
+        row, summary = run_technique(technique, threads, duration)
         rows.append(row)
         summaries.append(summary)
     return rows, summaries
@@ -145,13 +143,13 @@ REBALANCE_HEADERS = [
 ]
 
 
-def _start_shard_fleet(count, seed, transport="threaded"):
+def _start_shard_fleet(count, seed):
     servers = []
     for _ in range(count):
         server = RestartableServer(lambda tid_start=1: IQServer(
             lease_config=LeaseConfig(i_lease_ttl=0.3, q_lease_ttl=0.3),
             tid_start=tid_start,
-        ), transport=transport)
+        ))
         server.start()
         servers.append(server)
     clients = [
@@ -206,11 +204,10 @@ def _run_rebalance_phase(clients, seed, threads, duration, migrate=None):
     }
 
 
-def run_rebalance_experiment(threads=4, duration=1.5, seed=31,
-                             transport="threaded"):
+def run_rebalance_experiment(threads=4, duration=1.5, seed=31):
     from repro.sharding import Rebalancer
 
-    servers, clients = _start_shard_fleet(3, seed, transport=transport)
+    servers, clients = _start_shard_fleet(3, seed)
     try:
         phases = []
         steady = _run_rebalance_phase(clients, seed, threads, duration)
@@ -341,23 +338,19 @@ def main(argv=None):
     )
     parser.add_argument("--smoke", action="store_true",
                         help="short CI run (skips the throughput gate)")
-    parser.add_argument("--transport", default="threaded",
-                        choices=["threaded", "async"],
-                        help="wire transport the cache servers run on")
     args = parser.parse_args(argv)
     threads = 4 if args.smoke else 8
     duration = 1.2 if args.smoke else 3.0
 
     if args.scenario == "kill-during-rebalance":
         phases, kills = run_rebalance_experiment(
-            threads=threads, duration=duration, transport=args.transport,
+            threads=threads, duration=duration,
         )
         emit("chaos_rebalance", render_rebalance(phases, kills))
         check_rebalance(phases, kills, throughput_gate=not args.smoke)
         return 0
 
-    rows, summaries = run_experiment(threads=threads, duration=duration,
-                                     transport=args.transport)
+    rows, summaries = run_experiment(threads=threads, duration=duration)
     emit("chaos", format_table(
         "Chaos: BG over a faulty network and a killable cache server",
         HEADERS, rows,

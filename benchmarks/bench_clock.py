@@ -1,6 +1,6 @@
 """Read-hot BG throughput: precise-clock self-invalidation vs IQ-invalidate.
 
-One experiment, run on both wire transports.  A BG social-network
+One experiment.  A BG social-network
 workload with the paper's read-hot mix (Table 5, "Low (1% Write)") is
 driven against a real TCP cache server in its own process, once with
 the IQ invalidate technique and once with the precise-clock technique
@@ -40,12 +40,10 @@ Results land in ``BENCH_clock.json`` at the repository root and
     python benchmarks/bench_clock.py [--smoke]
 
 ``--smoke`` is the CI entry: scaled down, clock must beat invalidate;
-the full run holds the ISSUE's 1.3x read-throughput bar on at least
-one transport.
+the full run holds the 1.3x read-throughput bar.
 """
 
 import argparse
-import json
 import os
 import subprocess
 import sys
@@ -61,8 +59,6 @@ from repro.net import ResilientIQServer
 
 ROOT_DIR = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
-TRANSPORTS = ["threaded", "async"]
-
 #: Simulated RDBMS update latency (seconds) charged inside every write
 #: session's SQL body.  Both techniques pay it identically; IQ
 #: additionally holds its Q leases across it.
@@ -73,41 +69,40 @@ WRITE_DELAY = 0.005
 #: quarantine exactly the keys most reads target.
 HOTSPOT = (0.1, 0.9)
 
-HEADERS = ["Transport", "Invalidate", "Clock", "Speedup",
-           "Clock hit rate", "Unit"]
+HEADERS = ["Invalidate", "Clock", "Speedup", "Clock hit rate", "Unit"]
 
 _SERVER_SCRIPT = """\
 from repro.config import LeaseConfig
 from repro.core.iq_server import IQServer
-from repro.net.server import server_class
+from repro.net import AsyncIQServer
 # The paper's base Section 3.2 invalidate: QaR deletes eagerly, so a
 # quarantined key misses (and readers back off) until DaR.  The clock
 # commands never consult the lease table, so this setting is inert for
 # the clock run -- both techniques share one server configuration.
 backend = IQServer(lease_config=LeaseConfig(serve_pending_versions=False))
-server = server_class({transport!r})(("127.0.0.1", 0), iq_server=backend)
+server = AsyncIQServer(("127.0.0.1", 0), iq_server=backend)
 print(server.port, flush=True)
 server.serve_forever()
 """
 
 
-def _spawn_server(transport):
+def _spawn_server():
     """Run the cache server in its own process (own GIL, real wire)."""
     env = dict(os.environ)
     src = os.path.join(ROOT_DIR, "src")
     env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
     proc = subprocess.Popen(
-        [sys.executable, "-c", _SERVER_SCRIPT.format(transport=transport)],
+        [sys.executable, "-c", _SERVER_SCRIPT],
         stdout=subprocess.PIPE, env=env,
     )
     port = int(proc.stdout.readline())
     return proc, port
 
 
-def _run_technique(technique, transport, threads, ops_per_thread,
-                   warmup_ops, members):
+def _run_technique(technique, threads, ops_per_thread, warmup_ops,
+                   members):
     """One full BG run against a fresh server; returns measurements."""
-    proc, port = _spawn_server(transport)
+    proc, port = _spawn_server()
     remote = ResilientIQServer(
         port=port,
         config=NetConfig(
@@ -152,46 +147,36 @@ def _run_technique(technique, transport, threads, ops_per_thread,
 
 
 def run_experiment(threads=8, ops_per_thread=400, warmup_ops=20,
-                   members=120, transports=TRANSPORTS):
-    results = {"transports": {}, "mix": LOW_WRITE_MIX.name,
-               "threads": threads, "ops_per_thread": ops_per_thread,
-               "write_delay_ms": WRITE_DELAY * 1000.0}
-    for transport in transports:
-        invalidate = _run_technique(
-            Technique.INVALIDATE, transport, threads, ops_per_thread,
-            warmup_ops, members,
-        )
-        clock = _run_technique(
-            Technique.CLOCK, transport, threads, ops_per_thread,
-            warmup_ops, members,
-        )
-        speedup = (clock["reads_per_s"] / invalidate["reads_per_s"]
-                   if invalidate["reads_per_s"] else 0.0)
-        served = clock["local_hits"] + clock["interval_hits"]
-        hit_rate = served / clock["reads"] if clock["reads"] else 0.0
-        results["transports"][transport] = {
-            "invalidate": invalidate,
-            "clock": clock,
-            "read_speedup": speedup,
-            "clock_interval_hit_rate": hit_rate,
-        }
-    results["best_read_speedup"] = max(
-        t["read_speedup"] for t in results["transports"].values()
+                   members=120):
+    invalidate = _run_technique(
+        Technique.INVALIDATE, threads, ops_per_thread, warmup_ops, members,
     )
-    return results
+    clock = _run_technique(
+        Technique.CLOCK, threads, ops_per_thread, warmup_ops, members,
+    )
+    served = clock["local_hits"] + clock["interval_hits"]
+    return {
+        "invalidate": invalidate,
+        "clock": clock,
+        "read_speedup": (clock["reads_per_s"] / invalidate["reads_per_s"]
+                         if invalidate["reads_per_s"] else 0.0),
+        "clock_interval_hit_rate": (served / clock["reads"]
+                                    if clock["reads"] else 0.0),
+        "mix": LOW_WRITE_MIX.name,
+        "threads": threads,
+        "ops_per_thread": ops_per_thread,
+        "write_delay_ms": WRITE_DELAY * 1000.0,
+    }
 
 
 def render(results):
-    rows = []
-    for transport, data in results["transports"].items():
-        rows.append([
-            transport,
-            "{:.0f}".format(data["invalidate"]["reads_per_s"]),
-            "{:.0f}".format(data["clock"]["reads_per_s"]),
-            "{:.2f}x".format(data["read_speedup"]),
-            "{:.0%}".format(data["clock_interval_hit_rate"]),
-            "reads/s",
-        ])
+    rows = [[
+        "{:.0f}".format(results["invalidate"]["reads_per_s"]),
+        "{:.0f}".format(results["clock"]["reads_per_s"]),
+        "{:.2f}x".format(results["read_speedup"]),
+        "{:.0%}".format(results["clock_interval_hit_rate"]),
+        "reads/s",
+    ]]
     return format_table(
         "Read-hot BG mix ({}): IQ-invalidate vs precise-clock".format(
             results["mix"]
@@ -210,26 +195,24 @@ def emit_json(results):
 
 
 def check(results, smoke=False):
-    for transport, data in results["transports"].items():
-        for technique in ("invalidate", "clock"):
-            run = data[technique]
-            assert run["errors"] == 0, (transport, technique, run)
-            assert run["unpredictable_reads"] == 0, (
-                "{} {} served stale data".format(transport, technique)
-            )
-        # A single-client run may never hit the *shared* cache (the
-        # client tier absorbs every re-read), so count both layers.
-        served = data["clock"]["local_hits"] + data["clock"]["interval_hits"]
-        assert served > 0, (
-            "the clock run never served from a validity interval"
+    for technique in ("invalidate", "clock"):
+        run = results[technique]
+        assert run["errors"] == 0, (technique, run)
+        assert run["unpredictable_reads"] == 0, (
+            "{} served stale data".format(technique)
         )
+    # A single-client run may never hit the *shared* cache (the client
+    # tier absorbs every re-read), so count both layers.
+    clock = results["clock"]
+    assert clock["local_hits"] + clock["interval_hits"] > 0, (
+        "the clock run never served from a validity interval"
+    )
     # The CI gate: clock must beat invalidate; the full run holds the
-    # ISSUE's 1.3x read-throughput bar on at least one transport.
+    # 1.3x read-throughput bar.
     floor = 1.0 if smoke else 1.3
-    best = results["best_read_speedup"]
-    assert best > floor, (
+    assert results["read_speedup"] > floor, (
         "clock read throughput {:.2f}x invalidate, need > {:.1f}x"
-        .format(best, floor)
+        .format(results["read_speedup"], floor)
     )
 
 

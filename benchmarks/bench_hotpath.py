@@ -1,6 +1,6 @@
-"""Hot-path overhaul benchmarks: striping, coalescing, wire fast paths.
+"""Hot-path overhaul benchmarks: lock striping and miss coalescing.
 
-Three experiments, one per tentpole claim of the hot-path PR:
+Two experiments, one per store/client claim of the hot-path PR:
 
 * ``striping-sweep`` -- mixed read/write throughput (90% ``get`` / 10%
   ``set``, 256 keys) against an in-process :class:`CacheStore`, global
@@ -25,14 +25,6 @@ Three experiments, one per tentpole claim of the hot-path PR:
   parks on its outcome, so the server sees one poll per reader.  The
   measured quantity is the server's own ``cmd_get`` counter -- wire
   commands the cache no longer has to serve.
-* ``wire-fastpath`` -- the ``bench_async`` 8-connection sweep point
-  re-run on the trimmed wire path (memoryview line parsing, precomputed
-  dispatch, ``bytes-%%`` reply assembly, cached per-connection handler
-  lookups).  The committed ``BENCH_async.json`` recorded the async
-  server at 0.47x threaded throughput at 8 connections -- the
-  allocation-bound low-concurrency regime.  The claim: the trimmed
-  path closes most of that gap, and the gate compares the fresh ratio
-  against the committed baseline.
 
 Results land in ``BENCH_hotpath.json`` at the repository root and
 ``benchmarks/out/BENCH_hotpath.txt``.  Standalone::
@@ -44,7 +36,6 @@ promise quiet neighbors or multiple cores).
 """
 
 import argparse
-import json
 import os
 import threading
 import time
@@ -56,8 +47,6 @@ from repro.core.iq_client import IQClient
 from repro.core.iq_server import IQServer
 from repro.kvs.store import CacheStore
 from repro.util.backoff import ExponentialBackoff
-
-ROOT_DIR = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 STRIPES = 16
 KEYS = 256
@@ -192,51 +181,14 @@ def _herd_experiment(readers, rounds, fill_ms):
 
 
 # ---------------------------------------------------------------------------
-# Wire fast path: the async 8-connection point, before vs after
-# ---------------------------------------------------------------------------
-
-def _committed_async_ratio(connections=8):
-    """The committed BENCH_async.json ratio at ``connections``, or None."""
-    path = os.path.join(ROOT_DIR, "BENCH_async.json")
-    try:
-        with open(path) as handle:
-            baseline = json.load(handle)
-        for point in baseline["connection_sweep"]:
-            if point["connections"] == connections:
-                return point["ratio"]
-    except (OSError, KeyError, ValueError):
-        pass
-    return None
-
-
-def _wire_experiment(duration, repeats):
-    import bench_async
-
-    connections = 8
-    threaded = bench_async._run_sweep(
-        "threaded", [connections], duration, repeats)[connections]
-    evented = bench_async._run_sweep(
-        "async", [connections], duration, repeats)[connections]
-    return {
-        "connections": connections,
-        "threaded_ops_s": threaded,
-        "async_ops_s": evented,
-        "ratio": evented / threaded if threaded else 0.0,
-        "baseline_ratio": _committed_async_ratio(connections),
-    }
-
-
-# ---------------------------------------------------------------------------
 # Harness
 # ---------------------------------------------------------------------------
 
 def run_experiment(thread_counts=THREADS_FULL, store_duration=0.6,
-                   herd_readers=16, herd_rounds=3, herd_fill_ms=30,
-                   wire_duration=1.5, wire_repeats=3):
+                   herd_readers=16, herd_rounds=3, herd_fill_ms=30):
     striping = _striping_experiment(thread_counts, store_duration)
     herd = _herd_experiment(herd_readers, herd_rounds, herd_fill_ms)
-    wire = _wire_experiment(wire_duration, wire_repeats)
-    return {"striping": striping, "miss_herd": herd, "wire_fastpath": wire}
+    return {"striping": striping, "miss_herd": herd}
 
 
 def render(results):
@@ -257,7 +209,6 @@ def render(results):
         rows,
     )
     herd = results["miss_herd"]
-    wire = results["wire_fastpath"]
     lines = [
         table,
         "",
@@ -269,15 +220,7 @@ def render(results):
             herd["cmd_get_coalesced"], herd["db_fills_coalesced"],
             herd["coalesced_waiters"]),
         "  reduction    {:.1f}x".format(herd["reduction"]),
-        "",
-        "Wire fast path: async/threaded at {} connections".format(
-            wire["connections"]),
-        "  now          {:.2f}x ({:.0f} vs {:.0f} ops/s)".format(
-            wire["ratio"], wire["async_ops_s"], wire["threaded_ops_s"]),
     ]
-    if wire["baseline_ratio"] is not None:
-        lines.append("  committed    {:.2f}x (BENCH_async.json)".format(
-            wire["baseline_ratio"]))
     if striping["cpu_count"] < 2:
         lines.append("")
         lines.append(
@@ -308,17 +251,6 @@ def check(results, smoke=False):
     assert herd["coalesced_waiters"] > 0, herd
     assert herd["db_fills_coalesced"] <= herd["db_fills_uncoalesced"], herd
     assert herd["reduction"] >= (2.0 if smoke else 5.0), herd
-    wire = results["wire_fastpath"]
-    assert wire["threaded_ops_s"] > 0 and wire["async_ops_s"] > 0, wire
-    if smoke:
-        assert wire["ratio"] > 0.55, wire
-    else:
-        baseline = wire["baseline_ratio"]
-        if baseline is not None:
-            assert wire["ratio"] > baseline, (
-                "wire fast path did not improve the committed async "
-                "8-connection ratio: {!r}".format(wire)
-            )
 
 
 def test_hotpath(benchmark):
@@ -330,8 +262,6 @@ def test_hotpath(benchmark):
             "herd_readers": 8,
             "herd_rounds": 1,
             "herd_fill_ms": 15,
-            "wire_duration": 0.6,
-            "wire_repeats": 1,
         },
         iterations=1, rounds=1,
     )
@@ -344,9 +274,7 @@ NOTE = (
     "lock (stripe_count=1) vs 16 stripes, per-thread-count ops/s; herd: N "
     "reader threads read-through one flushed key with a slow compute "
     "against an in-process IQServer, server cmd_get with client miss "
-    "coalescing off vs on; wire: bench_async 8-connection pipelined-get "
-    "sweep point re-run on the trimmed wire path vs the committed "
-    "BENCH_async.json ratio"
+    "coalescing off vs on"
 )
 
 
@@ -361,7 +289,6 @@ if __name__ == "__main__":
         results = run_experiment(
             thread_counts=THREADS_SMOKE, store_duration=0.25,
             herd_readers=8, herd_rounds=1, herd_fill_ms=15,
-            wire_duration=0.6, wire_repeats=1,
         )
     else:
         results = run_experiment()

@@ -27,7 +27,6 @@ pipelined path is strictly faster than the sequential one.
 """
 
 import argparse
-import json
 import os
 import statistics
 import subprocess
@@ -115,14 +114,14 @@ def _run_wire_qareg(remote, keys, rounds, batched):
 
 
 _SERVER_SCRIPT = """\
-from repro.net.server import server_class
-server = server_class({transport!r})(("127.0.0.1", 0))
+from repro.net import AsyncIQServer
+server = AsyncIQServer(("127.0.0.1", 0))
 print(server.port, flush=True)
 server.serve_forever()
 """
 
 
-def _spawn_server(transport="threaded"):
+def _spawn_server():
     """Run the TCP server in its own process.
 
     The paper's deployment has the CMT and the cache server on separate
@@ -135,15 +134,15 @@ def _spawn_server(transport="threaded"):
     src = os.path.join(ROOT_DIR, "src")
     env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
     proc = subprocess.Popen(
-        [sys.executable, "-c", _SERVER_SCRIPT.format(transport=transport)],
+        [sys.executable, "-c", _SERVER_SCRIPT],
         stdout=subprocess.PIPE, env=env,
     )
     port = int(proc.stdout.readline())
     return proc, port
 
 
-def _wire_experiment(rounds, repeats, transport="threaded"):
-    proc, port = _spawn_server(transport)
+def _wire_experiment(rounds, repeats):
+    proc, port = _spawn_server()
     remote = RemoteIQServer(port=port)
     try:
         keys = ["pipe-key-%d" % i for i in range(BATCH_KEYS)]
@@ -255,9 +254,9 @@ def _fanout_experiment(trials, delay):
 # ---------------------------------------------------------------------------
 
 def run_experiment(rounds=400, repeats=3, fanout_trials=30,
-                   fanout_delay=FANOUT_DELAY, transport="threaded"):
+                   fanout_delay=FANOUT_DELAY):
     read, qareg, matched, pipelined_commands = _wire_experiment(
-        rounds, repeats, transport=transport
+        rounds, repeats
     )
     fanout = _fanout_experiment(fanout_trials, fanout_delay)
     return {
@@ -279,7 +278,6 @@ def run_experiment(rounds=400, repeats=3, fanout_trials=30,
         },
         "shard_fanout": fanout,
         "server_pipelined_commands": pipelined_commands,
-        "transport": transport,
     }
 
 
@@ -365,16 +363,11 @@ if __name__ == "__main__":
         "--smoke", action="store_true",
         help="CI entry: scaled down, pipelined must beat sequential",
     )
-    parser.add_argument(
-        "--transport", default="threaded", choices=["threaded", "async"],
-        help="wire transport the benchmarked server runs on",
-    )
     args = parser.parse_args()
     if args.smoke:
-        results = run_experiment(rounds=120, repeats=2, fanout_trials=10,
-                                 transport=args.transport)
+        results = run_experiment(rounds=120, repeats=2, fanout_trials=10)
     else:
-        results = run_experiment(transport=args.transport)
+        results = run_experiment()
     check(results, smoke=args.smoke)
     emit("BENCH_pipeline", render(results))
     print("wrote", emit_json(results))

@@ -2,17 +2,14 @@
 
 ::
 
-    python -m repro serve [--port P] [--i-ttl S] [--q-ttl S]
-                          [--async | --threaded] [--shards N]
+    python -m repro serve [--port P] [--i-ttl S] [--q-ttl S] [--shards N]
                           [--max-pipeline-buffer BYTES]
-        Run an IQ-Twemcached server on a TCP port.  ``--async`` (the
-        default) serves every connection from one event loop;
-        ``--threaded`` uses the thread-per-connection reference
-        transport.  ``--shards N`` (N > 1) instead launches a
-        process-per-shard cluster: N supervised worker processes, each
-        serving one shard of the consistent-hash ring, restarted on
-        crash.  ``--max-pipeline-buffer`` caps the bytes of pipelined
-        replies buffered per connection.  SIGINT/SIGTERM drain
+        Run an IQ-Twemcached server on a TCP port: one event loop
+        serves every connection.  ``--shards N`` (N > 1) instead
+        launches a process-per-shard cluster: N supervised worker
+        processes, each serving one shard of the consistent-hash ring,
+        restarted on crash.  ``--max-pipeline-buffer`` caps the bytes of
+        pipelined data buffered per connection.  SIGINT/SIGTERM drain
         gracefully -- buffered replies are flushed before the listening
         sockets close.
 
@@ -75,48 +72,16 @@ def _cmd_serve(args):
 
 
 def _serve_single(args):
-    import signal
-    import threading
+    from repro.net.shard_worker import build_worker, serve_until_drained
 
-    from repro.config import LeaseConfig, NetConfig
-    from repro.core.iq_server import IQServer
-    from repro.net.server import server_class
+    def announce(server):
+        print("IQ-Twemcached listening on {}:{}".format(
+            args.host, server.port
+        ))
+        print("Protocol: memcached ASCII + IQ extensions (see repro.net)")
+        sys.stdout.flush()
 
-    net_config = NetConfig()
-    if args.max_pipeline_buffer is not None:
-        net_config.max_pipeline_buffer = args.max_pipeline_buffer
-    server = server_class(args.transport)(
-        ("127.0.0.1", args.port),
-        IQServer(lease_config=LeaseConfig(
-            i_lease_ttl=args.i_ttl, q_lease_ttl=args.q_ttl,
-        )),
-        net_config=net_config,
-    )
-    print("IQ-Twemcached ({}) listening on 127.0.0.1:{}".format(
-        args.transport, server.port
-    ))
-    print("Protocol: memcached ASCII + IQ extensions (see repro.net)")
-
-    draining = threading.Event()
-
-    def _drain(_signum=None, _frame=None):
-        if draining.is_set():
-            return
-        draining.set()
-        print("\ndraining connections and shutting down")
-        # shutdown() blocks until serve_forever exits; it must not run
-        # on the thread serve_forever occupies.
-        threading.Thread(target=server.shutdown, daemon=True).start()
-
-    signal.signal(signal.SIGTERM, _drain)
-    try:
-        server.serve_forever()
-    except KeyboardInterrupt:
-        _drain()
-        server.shutdown()
-    finally:
-        server.server_close()
-    return 0
+    return serve_until_drained(build_worker(args), announce)
 
 
 def _serve_cluster(args):
@@ -130,13 +95,11 @@ def _serve_cluster(args):
     if args.max_pipeline_buffer is not None:
         net_config.max_pipeline_buffer = args.max_pipeline_buffer
     cluster = IQCluster(
-        shards=args.shards, transport=args.transport,
-        net_config=net_config, i_ttl=args.i_ttl, q_ttl=args.q_ttl,
+        shards=args.shards, net_config=net_config,
+        i_ttl=args.i_ttl, q_ttl=args.q_ttl,
     )
     cluster.start()
-    print("IQ-Twemcached cluster: {} shard processes ({})".format(
-        args.shards, args.transport
-    ))
+    print("IQ-Twemcached cluster: {} shard processes".format(args.shards))
     for proc in cluster.processes:
         print("  {:<8} pid {:<8} 127.0.0.1:{}".format(
             proc.name, proc.proc.pid, proc.port
@@ -523,16 +486,6 @@ def build_parser():
                        help="I lease lifetime, seconds")
     serve.add_argument("--q-ttl", type=float, default=10.0,
                        help="Q lease lifetime, seconds")
-    transport = serve.add_mutually_exclusive_group()
-    transport.add_argument(
-        "--async", dest="transport", action="store_const", const="async",
-        help="event-loop transport: one thread, every connection (default)",
-    )
-    transport.add_argument(
-        "--threaded", dest="transport", action="store_const",
-        const="threaded",
-        help="thread-per-connection reference transport",
-    )
     serve.add_argument(
         "--shards", type=int, default=1,
         help="N > 1 launches a process-per-shard cluster (default 1)",
@@ -541,7 +494,7 @@ def build_parser():
         "--max-pipeline-buffer", type=int, default=None,
         help="per-connection cap on buffered pipelined bytes",
     )
-    serve.set_defaults(func=_cmd_serve, transport="async")
+    serve.set_defaults(func=_cmd_serve, host="127.0.0.1")
 
     figures = sub.add_parser(
         "figures", help="replay the paper's race-condition figures"
@@ -639,7 +592,7 @@ def build_parser():
     )
     scenarios.add_argument(
         "--transport", default=None,
-        choices=["inproc", "threaded", "async"],
+        choices=["inproc", "wire"],
         help="only entries on this transport",
     )
     scenarios.add_argument("--tag", default=None,

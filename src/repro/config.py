@@ -106,12 +106,11 @@ class NetConfig:
     #: connection instead of dialing more sockets.
     pool_size: int = 4
 
-    #: Per-connection cap, in bytes, on buffered pipelined data held by a
-    #: wire server: unconsumed request bytes (a frame that never
-    #: terminates, or an announced data block larger than this) and, on
-    #: the event-loop transport, replies queued for a peer that never
-    #: reads them.  A connection exceeding the cap gets an error reply
-    #: and is closed (:class:`~repro.errors.PipelineOverflowError`).
+    #: Per-connection cap, in bytes, on buffered pipelined data held by
+    #: the wire server.  Unconsumed request bytes past it (a frame that
+    #: never terminates, or an announced data block larger than this)
+    #: draw an error reply and a close; replies queued past it for a peer
+    #: that never reads them cut the connection.
     max_pipeline_buffer: int = 4 * 1024 * 1024
 
 

@@ -163,17 +163,6 @@ class ProtocolError(ReproError):
     """Malformed request or response on the memcached wire protocol."""
 
 
-class PipelineOverflowError(ProtocolError):
-    """A connection buffered more pipelined bytes than the server allows.
-
-    Raised when a client floods request frames (or one oversized frame)
-    past ``NetConfig.max_pipeline_buffer`` without the server being able
-    to drain them.  The server replies with an error and closes the
-    connection -- bounded memory per connection beats availability for a
-    misbehaving peer.
-    """
-
-
 class ServerReplyError(ReproError):
     """The server answered a command with ``SERVER_ERROR``/``CLIENT_ERROR``.
 

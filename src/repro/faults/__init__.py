@@ -1,7 +1,7 @@
 """Fault-injection subsystem.
 
 Deterministic, seedable fault injection (:mod:`repro.faults.injector`)
-with hooks threaded through the wire path (``net/server.py``,
+with hooks threaded through the wire path (``net/async_server.py``,
 ``net/protocol.py``, ``net/client.py``) and the KVS store, plus chaos
 orchestration helpers (:mod:`repro.faults.chaos`) for kill-and-restart
 servers and frozen lease holders.  See ``docs/FAULTS.md`` for the fault

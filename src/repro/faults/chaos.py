@@ -19,7 +19,7 @@ import socket
 import threading
 
 from repro.errors import CacheUnavailableError
-from repro.net.server import server_class
+from repro.net.async_server import AsyncIQServer
 
 
 #: Gap between the TID ranges of successive server incarnations.
@@ -27,23 +27,16 @@ TID_EPOCH_STRIDE = 1_000_000
 
 
 class RestartableServer:
-    """An IQ TCP server that can be killed and restarted on one port.
-
-    ``transport`` selects the serving stack each incarnation runs on
-    (``"threaded"`` or ``"async"``); the chaos experiments run against
-    both to prove the transport parity contract holds under failures,
-    not just on the happy path.
-    """
+    """An :class:`AsyncIQServer` that can be killed and restarted on one
+    port."""
 
     def __init__(self, iq_server_factory, host="127.0.0.1",
-                 fault_injector=None, transport="threaded"):
+                 fault_injector=None):
         #: builds a fresh IQServer for each incarnation; called with the
         #: incarnation's ``tid_start``
         self._factory = iq_server_factory
         self._host = host
         self._injector = fault_injector
-        self._server_class = server_class(transport)
-        self.transport = transport
         self._lock = threading.Lock()
         self._server = None
         self._thread = None
@@ -82,7 +75,7 @@ class RestartableServer:
                 raise RuntimeError("server already running")
             self.epoch += 1
             iq = self._factory(tid_start=self.epoch * TID_EPOCH_STRIDE + 1)
-            server = self._server_class(
+            server = AsyncIQServer(
                 (self._host, self._port), iq,
                 fault_injector=self._injector,
             )

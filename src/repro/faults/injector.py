@@ -26,7 +26,8 @@ site                    where the hook fires
 ``client.send``         before the request bytes leave ``RemoteIQServer``
 ``client.after_send``   after the request was sent, before the reply is
                         read (exercises ambiguous outcomes)
-``net.recv``            inside :class:`~repro.net.protocol.LineReader`
+``net.recv``            before every server ``recv``, and inside the
+                        client's :class:`~repro.net.protocol.LineReader`
                         whenever it refills from the socket
 ``server.request``      after the server parsed a command line, before
                         dispatch
@@ -75,7 +76,7 @@ class FaultAction(enum.Enum):
     """What an armed rule does at its site."""
 
     #: Sever the connection (client raises ConnectionLostError; the
-    #: server handler closes the socket; LineReader raises
+    #: server closes the socket; LineReader raises
     #: ConnectionError as if the peer vanished).
     DROP_CONNECTION = "drop_connection"
     #: Sleep for ``rule.delay`` seconds before proceeding.

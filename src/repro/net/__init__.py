@@ -8,16 +8,12 @@ Whalin client.  This package provides the equivalent end-to-end path:
   ``cas``, ``delete``, ``incr`` ... plus the IQ extensions ``iqget``,
   ``iqset``, ``qaread``, ``sar``, ``genid``, ``qar``, ``dar``,
   ``iqdelta``, ``commit``, ``abort`` ...) from which the clients'
-  methods and the servers' dispatch are derived;
+  methods and the server's handler table are derived;
 * :mod:`repro.net.protocol` -- request/response framing shared by all
   of them;
-* :mod:`repro.net.server` -- a threaded TCP server exposing an
-  :class:`~repro.core.iq_server.IQServer` (the reference transport);
-* :mod:`repro.net.async_server` -- the event-loop transport: one thread
-  multiplexing every connection over non-blocking sockets, byte-for-byte
-  compatible with the threaded server (the transport parity contract);
-* :mod:`repro.net.dispatch` -- the shared command dispatcher both
-  transports funnel through;
+* :mod:`repro.net.async_server` -- the server: one event-loop thread
+  multiplexing every connection over non-blocking sockets and exposing
+  an :class:`~repro.core.iq_server.IQServer`;
 * :mod:`repro.net.cluster` -- process-per-shard deployment: each shard
   of a consistent-hash ring runs in its own OS process with health
   checks, graceful drain, and restart-on-crash supervision;
@@ -39,19 +35,16 @@ from repro.net.resilient import (
     ReconciliationJournal,
     ResilientIQServer,
 )
-from repro.net.async_server import AsyncIQServer
-from repro.net.server import IQTCPServer, serve_background, server_class
+from repro.net.async_server import AsyncIQServer, serve_background
 
 __all__ = [
     "AsyncIQServer",
     "CircuitBreaker",
     "CircuitState",
     "ConnectionPool",
-    "IQTCPServer",
     "Pipeline",
     "ReconciliationJournal",
     "RemoteIQServer",
     "ResilientIQServer",
     "serve_background",
-    "server_class",
 ]

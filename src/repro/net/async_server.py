@@ -1,16 +1,14 @@
-"""Event-loop TCP server: one thread multiplexing every connection.
+"""The wire server: one event-loop thread multiplexing every connection.
 
-The thread-per-connection reference transport
-(:class:`~repro.net.server.IQTCPServer`) spends an OS thread -- stack,
-scheduler slot, GIL contention -- on every connected client, which caps
-a shard at a few hundred connections.  :class:`AsyncIQServer` serves the
-same protocol from a single thread over non-blocking sockets and a
-``selectors`` readiness loop, so one shard process multiplexes thousands
-of connections and the process-per-shard launcher
-(:mod:`repro.net.cluster`) can put one such loop on every core.
+:class:`AsyncIQServer` exposes an :class:`IQServer` over the memcached
+text protocol from a single thread, non-blocking sockets and a
+``selectors`` readiness loop, so one shard process serves thousands of
+connections and the process-per-shard launcher
+(:mod:`repro.net.cluster`) can put one such loop on every core -- the
+shape of the paper's event-driven IQ-Twemcached.
 
-**Transport parity contract.**  Byte-for-byte, a request stream produces
-the same reply stream on either transport:
+What the server promises, byte for byte (the golden transcripts in
+``tests/net/test_transport_parity.py`` pin it):
 
 * framing -- a command line's announced data block is consumed before
   the command is validated (PR 1 discipline), an unknowable size or a
@@ -18,28 +16,27 @@ the same reply stream on either transport:
 * pipelining -- replies are buffered while complete frames remain
   buffered and flushed in one write when the connection would otherwise
   go idle, in request order (PR 5 semantics);
-* fault sites -- ``server.request``, ``server.reply``, and ``net.recv``
-  fire with the same meaning, so a seeded :class:`FaultPlan` observes
-  the same per-command activations on either stack;
-* tracing -- a trailing ``@t<id>`` token joins dispatch to the caller's
-  trace exactly as on the threaded path.
+* fault sites -- ``net.recv`` fires before every ``recv``,
+  ``server.request`` after a command is framed, ``server.reply`` before
+  its reply is buffered;
+* tracing -- a trailing ``@t<id>`` token joins the handler to the
+  caller's trace.
 
-Dispatch itself is shared (:mod:`repro.net.dispatch`), so the contract
-cannot drift command-by-command; only the I/O engine differs.
+Each framed command is one probe of :data:`repro.net.commands.HANDLERS`;
+:func:`exception_reply` maps what a handler raises to its error reply.
 
 **Bounded buffering.**  ``NetConfig.max_pipeline_buffer`` caps both
 directions per connection.  A frame that never terminates (or announces
 a data block beyond the cap) draws an error reply and a close; a peer
 that pipelines requests but never reads its replies is disconnected once
-the reply backlog passes the cap -- an event loop cannot borrow the
-thread-per-connection trick of blocking in ``sendall`` for backpressure,
-so the cap is what keeps one misbehaving client from holding the loop's
-memory hostage.
+the reply backlog passes the cap -- the loop has no thread to block for
+backpressure, so the cap is what keeps one misbehaving client from
+holding its memory hostage.
 
 The loop exposes its health through the IQ server's stats registry
 (``stats`` over the wire): ``evloop_connections`` accepted,
 ``evloop_flushes`` reply writes, ``evloop_overflow_closes`` cap
-disconnects, plus the shared ``pipelined_commands`` batch counter.
+disconnects, and ``pipelined_commands`` answered in multi-reply writes.
 """
 
 import selectors
@@ -47,9 +44,14 @@ import socket
 import threading
 
 from repro.core.iq_server import IQServer
-from repro.errors import ProtocolError
-from repro.net.dispatch import bump_stat, dispatch, exception_reply, \
-    stat_handle
+from repro.errors import (
+    BadValueError,
+    KeyFormatError,
+    ProtocolError,
+    ReproError,
+    ValueTooLargeError,
+)
+from repro.net.commands import HANDLERS
 from repro.net.protocol import (
     CRLF,
     data_block_size,
@@ -62,6 +64,26 @@ from repro.obs.trace import trace_context
 #: recv size per readiness event; large enough to drain a pipelined
 #: burst in one syscall.
 _RECV_CHUNK = 65536
+
+
+def exception_reply(exc):
+    """Map a handler's exception to its reply bytes, or re-raise.
+
+    The classification mirrors memcached: protocol violations and
+    malformed arguments keep the connection usable (any data block was
+    consumed before the handler ran), server-side errors are reported as
+    ``SERVER_ERROR``.  Exceptions outside the taxonomy propagate.
+    """
+    if isinstance(exc, ProtocolError):
+        return error_response(str(exc))
+    if isinstance(exc, (BadValueError, KeyFormatError, ValueTooLargeError)):
+        return "CLIENT_ERROR {}".format(exc).encode()
+    if isinstance(exc, ReproError):
+        return error_response(str(exc))
+    if isinstance(exc, (ValueError, IndexError)):
+        # Malformed arguments (non-integer token/tid, missing fields).
+        return "CLIENT_ERROR bad command arguments: {}".format(exc).encode()
+    raise exc
 
 
 class _Connection:
@@ -98,11 +120,15 @@ class _Connection:
 class AsyncIQServer:
     """Non-blocking event-loop front end for an :class:`IQServer`.
 
-    Drop-in for :class:`~repro.net.server.IQTCPServer`: same constructor
-    shape, same ``serve_forever``/``shutdown``/``server_close``/
-    ``initiate_kill``/``on_kill``/``port`` surface, so
-    :class:`~repro.faults.chaos.RestartableServer`, the benches, and the
-    CLI run either transport behind one switch.
+    ``fault_injector`` (a :class:`repro.faults.FaultInjector`) arms the
+    ``net.recv``, ``server.request`` and ``server.reply`` sites on every
+    connection; leave it ``None`` for the zero-overhead default.  A
+    ``DELAY``/``FREEZE`` rule at those sites stalls the one loop thread,
+    and with it every connection.  ``on_kill`` is called (on a
+    background thread) after a KILL_SERVER fault has shut the listener
+    down -- a chaos controller hooks this to schedule the restart.
+    ``net_config`` supplies ``max_pipeline_buffer`` (``None`` uses the
+    :class:`~repro.config.NetConfig` default).
     """
 
     def __init__(self, address=("127.0.0.1", 0), iq_server=None,
@@ -134,11 +160,12 @@ class AsyncIQServer:
                                 self._on_wakeup)
 
         # Counter handles resolved once: the per-flush and per-batch
-        # bumps are on the loop's hottest path, where bump_stat's
-        # reflective probe showed up in low-connection profiles.
-        self._count_flush = stat_handle(self.iq_server, "evloop_flushes")
-        self._count_pipelined = stat_handle(
-            self.iq_server, "pipelined_commands")
+        # bumps are on the loop's hottest path.
+        counter = self.iq_server.stats.counter
+        self._count_connection = counter("evloop_connections").inc
+        self._count_flush = counter("evloop_flushes").inc
+        self._count_overflow_close = counter("evloop_overflow_closes").inc
+        self._count_pipelined = counter("pipelined_commands").inc
 
         self._conns = {}
         self._shutdown_requested = threading.Event()
@@ -168,8 +195,7 @@ class AsyncIQServer:
             self._drain_and_close()
             self._loop_done.set()
             if self._kill_started and self.on_kill is not None:
-                # Parity with the threaded initiate_kill: notify off the
-                # serving thread once teardown finished.
+                # Notify off the serving thread once teardown finished.
                 threading.Thread(target=self.on_kill, daemon=True).start()
 
     def shutdown(self):
@@ -203,7 +229,7 @@ class AsyncIQServer:
             self._close_conn(conn, abrupt=True)
 
     def initiate_kill(self):
-        """Shut the server down from inside dispatch (KILL_SERVER fault)."""
+        """Shut the server down from inside the loop (KILL_SERVER fault)."""
         with self._kill_lock:
             if self._kill_started:
                 return
@@ -255,7 +281,7 @@ class AsyncIQServer:
             self._conns[sock.fileno()] = conn
             self._selector.register(sock, selectors.EVENT_READ,
                                     conn.handler)
-            bump_stat(self.iq_server, "evloop_connections")
+            self._count_connection()
 
     def _make_conn_handler(self, conn):
         def handle(_sock, mask):
@@ -277,8 +303,7 @@ class AsyncIQServer:
             self._close_conn(conn, abrupt=True)
             return
         if not chunk:
-            # Peer EOF mid-anything: exit quietly, like the threaded
-            # handler's ConnectionError path.
+            # Peer EOF mid-anything: close quietly.
             self._close_conn(conn, abrupt=True)
             return
         if conn.corrupt_armed:
@@ -290,8 +315,8 @@ class AsyncIQServer:
         self._process(conn)
 
     def _inject_recv(self, injector, conn):
-        """Fire ``net.recv`` before the read, as LineReader does on every
-        refill.  Returns False when the connection was dropped."""
+        """Fire ``net.recv`` before the read.  Returns False when the
+        connection was dropped."""
         from repro.faults.injector import SITE_NET_RECV, FaultAction
 
         rule = injector.perform(SITE_NET_RECV)
@@ -311,9 +336,7 @@ class AsyncIQServer:
 
         This is the loop's hottest path, so buffer state lives in locals
         and the consumed prefix is compacted once per pass rather than
-        per frame -- at high connection counts the event loop's whole
-        throughput claim rests on keeping per-frame overhead below the
-        threaded transport's per-thread wakeup cost.
+        per frame.
         """
         inbuf = conn.inbuf
         cap = self.max_pipeline_buffer
@@ -368,8 +391,7 @@ class AsyncIQServer:
             return
         if size is not None:
             if size + len(CRLF) > self.max_pipeline_buffer:
-                # Same wording as LineReader.read_bytes on the threaded
-                # path, so both transports reply identically.
+                # Refused up front, before any of the block is buffered.
                 self._overflow_close(
                     conn,
                     "connection buffered {} bytes, limit {}".format(
@@ -411,14 +433,18 @@ class AsyncIQServer:
         if injector is not None:
             if not self._inject_request(injector, conn, command):
                 return
-        try:
-            if trace_id is not None:
-                with trace_context(trace_id):
-                    reply = dispatch(self.iq_server, command, args, data)
-            else:
-                reply = dispatch(self.iq_server, command, args, data)
-        except Exception as exc:
-            reply = exception_reply(exc)
+        handler = HANDLERS.get(command)
+        if handler is None:
+            reply = error_response("unknown command {!r}".format(command))
+        else:
+            try:
+                if trace_id is not None:
+                    with trace_context(trace_id):
+                        reply = handler(self.iq_server, args, data)
+                else:
+                    reply = handler(self.iq_server, args, data)
+            except Exception as exc:
+                reply = exception_reply(exc)
         self._append_reply(conn, reply, command)
 
     def _append_reply(self, conn, reply, command):
@@ -435,12 +461,12 @@ class AsyncIQServer:
             # backpressure; cut the connection instead of buffering
             # replies without limit.
             self._close_conn(conn, abrupt=True)
-            bump_stat(self.iq_server, "evloop_overflow_closes")
+            self._count_overflow_close()
 
     def _overflow_close(self, conn, message):
         conn.out += error_response(message) + CRLF
         conn.closing = True
-        bump_stat(self.iq_server, "evloop_overflow_closes")
+        self._count_overflow_close()
 
     # -- fault hooks ---------------------------------------------------------
 
@@ -463,8 +489,8 @@ class AsyncIQServer:
     def _inject_reply(self, injector, conn, command, reply):
         """Fire ``server.reply``; returns the (doctored) reply or None.
 
-        Parity note: buffered replies precede this one in ``conn.out``,
-        so wire order matches the threaded server's flush-before-doctor.
+        Buffered replies precede this one in ``conn.out``, so a truncated
+        or dropped reply never takes an earlier one with it.
         """
         from repro.faults.injector import SITE_SERVER_REPLY, FaultAction
         from repro.faults.injector import corrupt_bytes
@@ -491,7 +517,7 @@ class AsyncIQServer:
         if conn.sock.fileno() < 0:
             return
         if conn.out:
-            if conn.batch > 1 and self._count_pipelined is not None:
+            if conn.batch > 1:
                 self._count_pipelined(conn.batch)
             conn.batch = 0
             try:
@@ -502,8 +528,7 @@ class AsyncIQServer:
                 self._close_conn(conn, abrupt=True)
                 return
             del conn.out[:sent]
-            if self._count_flush is not None:
-                self._count_flush()
+            self._count_flush()
         if conn.out:
             self._want_write(conn, True)
         else:
@@ -543,3 +568,16 @@ class AsyncIQServer:
             pass
         conn.out = bytearray()
         conn.closing = True
+
+
+def serve_background(iq_server=None, address=("127.0.0.1", 0),
+                     fault_injector=None, net_config=None):
+    """Start an :class:`AsyncIQServer` on a daemon thread.
+
+    Returns ``(server, thread)``; call ``server.shutdown()`` to stop.
+    """
+    server = AsyncIQServer(address, iq_server, fault_injector=fault_injector,
+                           net_config=net_config)
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    return server, thread

@@ -58,14 +58,12 @@ class ShardProcess:
     listening socket is bound, so :meth:`start` never returns a shard
     that cannot yet be dialed.  The first bound port is remembered and
     re-used by :meth:`restart`, so clients keep dialing one stable
-    address across crashes (both transports bind with ``SO_REUSEADDR``).
+    address across crashes (the server binds with ``SO_REUSEADDR``).
     """
 
-    def __init__(self, name, transport="async", host="127.0.0.1", port=0,
-                 i_ttl=10.0, q_ttl=10.0, max_pipeline_buffer=None,
-                 startup_timeout=10.0):
+    def __init__(self, name, host="127.0.0.1", port=0, i_ttl=10.0,
+                 q_ttl=10.0, max_pipeline_buffer=None, startup_timeout=10.0):
         self.name = name
-        self.transport = transport
         self.host = host
         self.port = port  # 0 until the first start pins it
         self.i_ttl = i_ttl
@@ -80,7 +78,6 @@ class ShardProcess:
             sys.executable, "-m", "repro.net.shard_worker",
             "--host", self.host,
             "--port", str(self.port),
-            "--transport", self.transport,
             "--i-ttl", str(self.i_ttl),
             "--q-ttl", str(self.q_ttl),
         ]
@@ -196,12 +193,11 @@ class IQCluster:
     counts as unhealthy.
     """
 
-    def __init__(self, shards=4, transport="async", restart_on_crash=True,
-                 monitor_interval=0.25, net_config=None, i_ttl=10.0,
-                 q_ttl=10.0, fanout_workers=None, probe_timeout=2.0):
+    def __init__(self, shards=4, restart_on_crash=True, monitor_interval=0.25,
+                 net_config=None, i_ttl=10.0, q_ttl=10.0, fanout_workers=None,
+                 probe_timeout=2.0):
         if shards < 1:
             raise ValueError("a cluster needs at least one shard")
-        self.transport = transport
         self.restart_on_crash = restart_on_crash
         self.monitor_interval = monitor_interval
         self.net_config = net_config
@@ -209,8 +205,7 @@ class IQCluster:
         self._fanout_workers = fanout_workers
         self.processes = [
             ShardProcess(
-                "shard{}".format(i), transport=transport,
-                i_ttl=i_ttl, q_ttl=q_ttl,
+                "shard{}".format(i), i_ttl=i_ttl, q_ttl=q_ttl,
                 max_pipeline_buffer=(
                     net_config.max_pipeline_buffer
                     if net_config is not None else None

@@ -2,14 +2,14 @@
 
 One immutable :class:`Command` record per wire command carries
 everything the rest of :mod:`repro.net` needs to know about it: the
-client encodes a request with ``encode``, the transports size its data
-block with ``size_index``, the server answers it with ``handle``, the
+client encodes a request with ``encode``, the server sizes its data
+block with ``size_index`` and answers it with ``handle``, the
 client reads the answer back with ``parse``, and
 :class:`~repro.net.resilient.ResilientIQServer` takes its retry class
 from ``idempotent``/``best_effort``.  Nothing else spells a command out:
 the public methods of :class:`~repro.net.client.RemoteIQServer`,
 :class:`~repro.net.client.Pipeline` and ``ResilientIQServer`` are
-generated from the records (:func:`surface`), and the dispatcher's
+generated from the records (:func:`surface`), and the server's
 handler table and :data:`repro.net.protocol.DATA_COMMANDS` are views
 that :func:`register` keeps.
 
@@ -75,8 +75,8 @@ class Command(NamedTuple):
 #: Method name -> record, in definition order.
 COMMANDS = {}
 
-#: Wire verb -> server handler; :func:`repro.net.dispatch.dispatch` is one
-#: probe of this view.
+#: Wire verb -> server handler; the server answers each framed command
+#: with one probe of this view.
 HANDLERS = {}
 
 _SURFACES = []

@@ -13,8 +13,8 @@ they share.
 
 Any request line may carry a trailing ``@t<trace-id>`` token
 (``qar 7 user:1 @t42``).  It propagates the caller's trace id so
-server-side events join the client's trace; servers strip it before
-dispatch and ignore unparseable tokens.  ``iqmget`` similarly carries
+server-side events join the client's trace; the server strips it before
+dispatch and ignores unparseable tokens.  ``iqmget`` similarly carries
 its optional session TID as a trailing ``@s<tid>`` token (keys would be
 ambiguous with a positional TID).  Tokens ride at the *end* of the
 line, after every positional field, so the ``<nbytes>`` indices in
@@ -33,7 +33,6 @@ a time.
 from repro.errors import (
     BadValueError,
     KeyFormatError,
-    PipelineOverflowError,
     ProtocolError,
     ServerReplyError,
     ValueTooLargeError,
@@ -51,39 +50,29 @@ DATA_COMMANDS = {}
 class LineReader:
     """Incremental reader over a socket-like object with ``recv``.
 
-    Bytes are received in large chunks into one growing buffer and
-    consumed by advancing a read offset, so draining a pipelined burst
-    of N frames costs one ``recv`` plus N slice-outs -- the historical
-    implementation re-copied the unconsumed remainder on every line,
-    which is quadratic exactly when pipelining makes the buffer deep.
-    The consumed prefix is compacted away only once it is large and
-    dominates the buffer.
+    The client reads replies through it.  Bytes are received in large
+    chunks into one growing buffer and consumed by advancing a read
+    offset, so draining a pipelined burst of N replies costs one
+    ``recv`` plus N slice-outs -- the historical implementation re-copied
+    the unconsumed remainder on every line, which is quadratic exactly
+    when pipelining makes the buffer deep.  The consumed prefix is
+    compacted away only once it is large and dominates the buffer.
 
     ``injector`` is an optional :class:`repro.faults.FaultInjector`; when
     installed, every refill fires the ``net.recv`` site, which can drop
     the connection, delay, or corrupt the incoming chunk.  The default
     path carries only a ``None`` check.
-
-    ``max_buffer`` bounds the *unconsumed* bytes the reader will hold
-    (``NetConfig.max_pipeline_buffer`` on the servers; ``None`` = no
-    limit, the client default).  A line that never terminates, or a data
-    block whose announced size exceeds the bound, raises
-    :class:`~repro.errors.PipelineOverflowError` before the flooding
-    bytes are buffered -- the server replies with an error and closes
-    instead of growing without limit.
     """
 
     #: Compact the buffer once this many consumed bytes accumulate.
     _COMPACT_THRESHOLD = 65536
 
-    def __init__(self, sock, chunk_size=65536, injector=None,
-                 max_buffer=None):
+    def __init__(self, sock, chunk_size=65536, injector=None):
         self._sock = sock
         self._buffer = bytearray()
         self._pos = 0
         self._chunk_size = chunk_size
         self._injector = injector
-        self._max_buffer = max_buffer
 
     def _fill(self):
         if self._injector is not None:
@@ -125,29 +114,12 @@ class LineReader:
             del self._buffer[:self._pos]
             self._pos = 0
 
-    def pending(self):
-        """True when a complete line is already buffered (no blocking).
-
-        The server's dispatch loop uses this to keep draining pipelined
-        commands before flushing its replies.
-        """
-        return self._buffer.find(CRLF, self._pos) != -1
-
-    def _check_limit(self, pending):
-        if self._max_buffer is not None and pending > self._max_buffer:
-            raise PipelineOverflowError(
-                "connection buffered {} bytes, limit {}".format(
-                    pending, self._max_buffer
-                )
-            )
-
     def read_line(self):
         """Read one CRLF-terminated line (returned without the CRLF)."""
         while True:
             end = self._buffer.find(CRLF, self._pos)
             if end != -1:
                 break
-            self._check_limit(len(self._buffer) - self._pos)
             self._fill()
         # Slice out through a memoryview: one copy into the result,
         # where a bytearray slice would copy twice (slice, then bytes).
@@ -160,7 +132,6 @@ class LineReader:
 
     def read_bytes(self, count):
         """Read exactly ``count`` bytes plus the trailing CRLF."""
-        self._check_limit(count + len(CRLF))
         # Compare *available* bytes, not absolute buffer length: _fill()
         # may compact the consumed prefix away (resetting _pos), so any
         # absolute index computed before the loop would go stale.
@@ -206,7 +177,7 @@ def split_trace_token(args):
 
     Returns ``(args, trace_id)`` where ``trace_id`` is ``None`` when no
     (well-formed) token is present.  A malformed token is left in place
-    for the dispatcher to reject as a bad argument.
+    for the handler to reject as a bad argument.
     """
     if args and args[-1].startswith(TRACE_TOKEN_PREFIX):
         try:
@@ -257,7 +228,7 @@ def value_block(key, value, flags=0, cas_id=None):
     """A ``VALUE``...``END`` retrieval block *without* the trailing CRLF.
 
     One %-formatted buffer (PEP 461) instead of a format/encode/concat
-    chain; the dispatcher appends the per-reply CRLF itself, so this is
+    chain; the server appends the per-reply CRLF itself, so this is
     the shape its handlers want.
     """
     if cas_id is None:
@@ -280,14 +251,15 @@ def error_response(message):
     return "SERVER_ERROR {}".format(message).encode()
 
 
-#: First words of the two error replies (see ``dispatch.exception_reply``).
+#: First words of the two error replies (see
+#: ``async_server.exception_reply``).
 ERROR_PREFIXES = (b"SERVER_ERROR ", b"CLIENT_ERROR ")
 
 
 def reply_error(line):
     """The exception an error reply stands for (client side).
 
-    The inverse of :func:`repro.net.dispatch.exception_reply`, as far as
+    The inverse of :func:`repro.net.async_server.exception_reply`, as far as
     the text allows: the server sends ``CLIENT_ERROR <message>`` for the
     three KVS input errors, whose messages tell them apart, and for
     malformed arguments; everything else is a ``SERVER_ERROR``.

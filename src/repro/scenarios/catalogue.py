@@ -3,7 +3,7 @@
 One declarative entry per verified configuration: the four-technique
 figure parity rows (each runnable through the live system *and* the
 model checker from the same spec), the Table 5 mix matrix, the wire
-transports, sharded routers, the chaos fault plans, and the workload
+server, sharded routers, the chaos fault plans, and the workload
 families (flash crowds, thundering herds, multi-tenant skew, zipf-theta
 sweeps).  ``repro scenarios --list`` renders this module; the sweep
 tiers execute it.
@@ -80,32 +80,32 @@ CATALOGUE = (
         oracles=("zero-stale", "zero-errors", "progress", "audit-clean"),
         tags=("mix", "audit"),
     ),
-    # -- wire transports ---------------------------------------------------
+    # -- the wire ----------------------------------------------------------
     ScenarioSpec(
-        "wire-threaded-invalidate",
-        "Low mix over the threaded TCP server",
-        technique="invalidate", transport="threaded", tags=("wire",),
+        "wire-invalidate",
+        "Low mix over the TCP server",
+        technique="invalidate", transport="wire", tags=("wire",),
     ),
     ScenarioSpec(
-        "wire-threaded-clock",
-        "Precise clocks over the threaded TCP server",
-        technique="clock", transport="threaded", tags=("wire",),
+        "wire-clock",
+        "Precise clocks over the TCP server",
+        technique="clock", transport="wire", tags=("wire",),
     ),
     ScenarioSpec(
-        "wire-async-refresh",
-        "Refresh over the event-loop (async) server",
-        technique="refresh", transport="async", tags=("wire",),
+        "wire-refresh",
+        "Refresh over the TCP server",
+        technique="refresh", transport="wire", tags=("wire",),
     ),
     ScenarioSpec(
-        "wire-async-invalidate-high",
-        "High (10% write) mix over the async server",
-        technique="invalidate", mix="10%", transport="async",
+        "wire-invalidate-high",
+        "High (10% write) mix over the TCP server",
+        technique="invalidate", mix="10%", transport="wire",
         tags=("wire",),
     ),
     ScenarioSpec(
-        "wire-threaded-delta",
-        "IQ-delta over the threaded TCP server",
-        technique="delta", transport="threaded", tiers=("sweep",),
+        "wire-delta",
+        "IQ-delta over the TCP server",
+        technique="delta", transport="wire", tiers=("sweep",),
         tags=("wire",),
     ),
     # -- sharded routers ---------------------------------------------------
@@ -129,27 +129,27 @@ CATALOGUE = (
         "chaos-commit-drop-invalidate",
         "Connections dropped at the commit phase every 6th send; the "
         "lease protocol must fail slow, never stale",
-        technique="invalidate", mix="10%", transport="threaded",
+        technique="invalidate", mix="10%", transport="wire",
         fault_plan="commit-drop", oracles=_CHAOS_ORACLES, tags=("chaos",),
     ),
     ScenarioSpec(
         "chaos-kill-restart-refresh",
         "Cache server killed and cold-restarted mid-run under refresh",
-        technique="refresh", transport="threaded",
+        technique="refresh", transport="wire",
         fault_plan="kill-restart", oracles=_CHAOS_ORACLES, tags=("chaos",),
     ),
     ScenarioSpec(
         "chaos-kill-restart-clock",
         "Cache server killed and cold-restarted mid-run under precise "
-        "clocks, on the async transport",
-        technique="clock", transport="async",
+        "clocks",
+        technique="clock", transport="wire",
         fault_plan="kill-restart", oracles=_CHAOS_ORACLES, tags=("chaos",),
     ),
     ScenarioSpec(
         "chaos-kill-restart-striped",
         "Kill-restart chaos against a 32-stripe cache store: the lock "
         "striping must not change what a cold restart may serve",
-        technique="invalidate", transport="threaded", stripes=32,
+        technique="invalidate", transport="wire", stripes=32,
         fault_plan="kill-restart", oracles=_CHAOS_ORACLES,
         tags=("chaos", "hotpath"),
     ),

@@ -14,10 +14,10 @@ Transports:
 
 * ``inproc`` -- the consistency client calls the backend directly
   (single :class:`IQServer` or an N-shard router);
-* ``threaded`` / ``async`` -- every shard is a real TCP server (on a
+* ``wire`` -- every shard is a real TCP server (on a
   :class:`RestartableServer` so fault plans can kill it) reached
   through a pooled :class:`ResilientIQServer`, exercising the full
-  wire protocol on the named serving stack.
+  wire protocol.
 
 Fault plans run on controller threads beside the workload:
 ``commit-drop`` arms the PR 1 injector's commit-phase connection
@@ -143,9 +143,7 @@ class _Deployment:
             self.injector = FaultInjector(_commit_drop_plan(), seed=seed)
         count = max(spec.shards, 1)
         for index in range(count):
-            server = RestartableServer(
-                self._factory(lease, kvs), transport=spec.transport
-            )
+            server = RestartableServer(self._factory(lease, kvs))
             server.start()
             self.servers.append(server)
             remote = ResilientIQServer(

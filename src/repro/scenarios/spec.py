@@ -15,7 +15,7 @@ compiled into a bounded :mod:`repro.mc` model-checking problem
 import dataclasses
 
 TECHNIQUES = ("invalidate", "refresh", "delta", "clock")
-TRANSPORTS = ("inproc", "threaded", "async")
+TRANSPORTS = ("inproc", "wire")
 MODES = ("live", "mc")
 TIERS = ("smoke", "sweep")
 
@@ -108,7 +108,7 @@ class ScenarioSpec:
         if (self.fault_plan in ("commit-drop", "kill-restart")
                 and self.transport == "inproc"):
             raise ValueError(
-                "{} exercises the wire path; pick a wire "
+                "{} exercises the wire path; pick the wire "
                 "transport".format(self.fault_plan)
             )
 

@@ -8,9 +8,9 @@ from repro.net import RemoteIQServer, ResilientIQServer, serve_background
 from repro.sharding import ShardedIQServer
 
 
-@pytest.fixture(params=["threaded", "async"])
-def served(request):
-    server, _thread = serve_background(transport=request.param)
+@pytest.fixture
+def served():
+    server, _thread = serve_background()
     yield server
     server.shutdown()
 

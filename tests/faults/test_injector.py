@@ -127,10 +127,10 @@ class TestZeroOverheadNoOp:
         assert clock.now() == before
 
     def test_server_and_reader_default_off(self):
+        from repro.net.async_server import AsyncIQServer
         from repro.net.protocol import LineReader
-        from repro.net.server import IQTCPServer
 
-        server = IQTCPServer()
+        server = AsyncIQServer()
         try:
             assert server.fault_injector is None
         finally:

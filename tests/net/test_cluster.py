@@ -2,7 +2,6 @@
 
 import signal
 import socket
-import time
 
 import pytest
 
@@ -12,7 +11,7 @@ from repro.net.protocol import CRLF
 
 class TestShardProcess:
     def test_handshake_ping_and_graceful_stop(self):
-        proc = ShardProcess("s0", transport="async")
+        proc = ShardProcess("s0")
         proc.start()
         try:
             assert proc.alive
@@ -27,7 +26,7 @@ class TestShardProcess:
         assert proc.poll() == 0  # SIGTERM is an orderly exit
 
     def test_sigterm_drain_flushes_pipelined_replies(self):
-        proc = ShardProcess("s0", transport="async")
+        proc = ShardProcess("s0")
         proc.start()
         try:
             with socket.create_connection(
@@ -72,7 +71,7 @@ class TestShardProcess:
             proc.stop()
 
     def test_restart_reuses_port(self):
-        proc = ShardProcess("s0", transport="threaded")
+        proc = ShardProcess("s0")
         proc.start()
         first_port = proc.port
         try:
@@ -91,8 +90,7 @@ class TestShardProcess:
 class TestIQCluster:
     @pytest.fixture
     def cluster(self):
-        cluster = IQCluster(shards=2, transport="async",
-                            monitor_interval=0.1)
+        cluster = IQCluster(shards=2, monitor_interval=0.1)
         cluster.start()
         yield cluster
         cluster.stop()
@@ -131,8 +129,7 @@ class TestIQCluster:
         assert result.has_lease or result.backoff
 
     def test_graceful_stop_exits_zero(self):
-        cluster = IQCluster(shards=2, transport="threaded",
-                            monitor_interval=0.1)
+        cluster = IQCluster(shards=2, monitor_interval=0.1)
         cluster.start()
         cluster.stop(graceful=True)
         assert [proc.poll() for proc in cluster.processes] == [0, 0]

@@ -52,14 +52,6 @@ class TestLineReader:
             assert reader.read_line() == b"line%d" % i
         assert sock.payload == b""  # single fill consumed everything
 
-    def test_pending_reports_buffered_complete_lines(self):
-        reader = LineReader(FakeSocket(b"one\r\ntwo\r\npartial"))
-        assert not reader.pending()  # nothing buffered before first read
-        assert reader.read_line() == b"one"
-        assert reader.pending()  # "two" is complete in the buffer
-        assert reader.read_line() == b"two"
-        assert not reader.pending()  # "partial" has no CRLF yet
-
     def test_interleaved_lines_and_data_blocks_stay_framed(self):
         # PR 1 framing discipline over the buffered reader: a data block
         # whose payload contains CRLF (even b"END\r\n") must never be

@@ -18,6 +18,7 @@ from repro.net.protocol import CRLF
 @pytest.fixture
 def served():
     server, _thread = serve_background()
+    server.iq_server.store.set("text", b"hello")
     yield server
     server.shutdown()
 
@@ -87,22 +88,13 @@ REFUSED = [
 ]
 
 
-@pytest.fixture(params=("threaded", "async"))
-def any_transport(request):
-    server, _thread = serve_background(transport=request.param)
-    server.iq_server.store.set("text", b"hello")
-    yield server
-    server.shutdown()
-    server.server_close()
-
-
 @pytest.mark.parametrize(
     "name,args,error", REFUSED, ids=[case[0] for case in REFUSED]
 )
 class TestErrorRepliesAreTyped:
-    def test_client_raises_and_stays_usable(self, any_transport, name, args,
+    def test_client_raises_and_stays_usable(self, served, name, args,
                                             error):
-        with RemoteIQServer(port=any_transport.port) as remote:
+        with RemoteIQServer(port=served.port) as remote:
             with pytest.raises(error) as raised:
                 getattr(remote, name)(*args(remote))
             if error is ServerReplyError:
@@ -110,10 +102,10 @@ class TestErrorRepliesAreTyped:
             assert not remote.broken
             assert remote.get("text") == (b"hello", 0)  # reply stream in step
 
-    def test_resilient_neither_retries_nor_trips(self, any_transport, name,
+    def test_resilient_neither_retries_nor_trips(self, served, name,
                                                  args, error):
         config = NetConfig(max_retries=2, breaker_failure_threshold=1)
-        with ResilientIQServer(port=any_transport.port,
+        with ResilientIQServer(port=served.port,
                                config=config) as client:
             with pytest.raises(error):
                 getattr(client, name)(*args(client))
@@ -122,9 +114,9 @@ class TestErrorRepliesAreTyped:
             assert client.get("text") == (b"hello", 0)
             assert client.reconnects == 1  # still the first connection
 
-    def test_pipeline_files_it_in_its_slot(self, any_transport, name, args,
+    def test_pipeline_files_it_in_its_slot(self, served, name, args,
                                            error):
-        with RemoteIQServer(port=any_transport.port) as remote:
+        with RemoteIQServer(port=served.port) as remote:
             pipe = remote.pipeline().get("text")
             getattr(pipe, name)(*args(remote))
             results = pipe.get("text").execute()
@@ -135,16 +127,16 @@ class TestErrorRepliesAreTyped:
 @pytest.mark.parametrize(
     "name,args,error", REFUSED[1:], ids=[case[0] for case in REFUSED[1:]]
 )
-def test_wire_error_is_the_in_process_error(any_transport, name, args, error):
+def test_wire_error_is_the_in_process_error(served, name, args, error):
     """Same class, same message as ``IQServer`` raises (malformed
     arguments, the first case, have no in-process equivalent)."""
-    iq = any_transport.iq_server
+    iq = served.iq_server
     target = iq if hasattr(iq, name) else iq.store
     with pytest.raises(error) as local:
         getattr(target, name)(*args(iq))
     iq.flush_all()
     iq.store.set("text", b"hello")
-    with RemoteIQServer(port=any_transport.port) as remote:
+    with RemoteIQServer(port=served.port) as remote:
         with pytest.raises(error) as wire:
             getattr(remote, name)(*args(remote))
     assert str(wire.value) == str(local.value)

@@ -26,10 +26,6 @@ class TestCoverage:
             "invalidate", "refresh", "delta", "clock",
         }
 
-    def test_at_least_two_wire_transports_in_smoke(self):
-        wire = {s.transport for s in self.smoke()} - {"inproc"}
-        assert len(wire) >= 2
-
     def test_at_least_four_family_entries_in_smoke(self):
         families = [s for s in self.smoke() if s.family is not None]
         assert len(families) >= 4
@@ -65,10 +61,9 @@ class TestAccessors:
         assert catalogue()
 
     def test_filters_compose(self):
-        clock_wire = filter_catalogue(technique="clock",
-                                      transport="threaded")
+        clock_wire = filter_catalogue(technique="clock", transport="wire")
         assert clock_wire
-        assert all(s.technique == "clock" and s.transport == "threaded"
+        assert all(s.technique == "clock" and s.transport == "wire"
                    for s in clock_wire)
         assert filter_catalogue(family="zipf-sweep", technique="clock")
 

@@ -28,7 +28,7 @@ class TestCompile:
 
     def test_live_only_spec_has_nothing_to_compile(self):
         with pytest.raises(ValueError, match="no mc mode"):
-            compile_spec(by_name("wire-threaded-invalidate"))
+            compile_spec(by_name("wire-invalidate"))
 
 
 class TestRunMC:

@@ -10,7 +10,7 @@ pytestmark = pytest.mark.scenario
 class TestReportRoundTrip:
     def make_report(self):
         return ScenarioReport(
-            "wire-threaded-invalidate", "live", tier="smoke",
+            "wire-invalidate", "live", tier="smoke",
             verdict="fail",
             oracles=[
                 OracleVerdict("zero-stale", True),

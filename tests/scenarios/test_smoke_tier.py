@@ -39,7 +39,7 @@ def test_inproc_smoke_entry(name):
 
 
 def test_wire_smoke_entry():
-    report = run_live(by_name("wire-threaded-invalidate"), sizing="pytest")
+    report = run_live(by_name("wire-invalidate"), sizing="pytest")
     _assert_clean(report)
     assert report.metrics["actions"] > 0
 

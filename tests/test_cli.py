@@ -114,11 +114,11 @@ class TestCommands:
 
     def test_scenarios_list_honours_filters(self, capsys):
         assert main(["scenarios", "--list", "--technique", "clock",
-                     "--transport", "inproc"]) == 0
+                     "--transport", "wire"]) == 0
         output = capsys.readouterr().out
-        assert "figure-clock" in output
-        assert "wire-threaded-clock" not in output
-        assert "figure-invalidate" not in output
+        assert "wire-clock" in output
+        assert "figure-clock" not in output
+        assert "wire-invalidate" not in output
 
     def test_scenarios_run_both_modes_with_parity(self, capsys, tmp_path):
         out = tmp_path / "reports.json"
