@@ -18,6 +18,7 @@ instead of approximating it with per-stripe budgets.
 """
 
 import enum
+import re
 import threading
 
 from repro.config import KVSConfig
@@ -31,6 +32,10 @@ from repro.util.clock import SystemClock
 
 #: memcached caps incr/decr values at 2**64 - 1 and wraps increments.
 _UINT64_MASK = (1 << 64) - 1
+
+#: First character a key may not hold: whitespace (what ``str.isspace``
+#: calls whitespace, which is what ``\s`` matches) or anything below 0x21.
+_BAD_KEY_CHAR = re.compile(r"[\s\x00-\x20]").search
 
 
 class StoreResult(enum.Enum):
@@ -178,9 +183,8 @@ class CacheStore:
             raise KeyFormatError(
                 "key exceeds {} characters".format(self.config.max_key_length)
             )
-        for ch in key:
-            if ch.isspace() or ord(ch) < 0x21:
-                raise KeyFormatError("key contains whitespace/control characters")
+        if _BAD_KEY_CHAR(key) is not None:
+            raise KeyFormatError("key contains whitespace/control characters")
 
     def _check_value(self, value):
         if not isinstance(value, bytes):

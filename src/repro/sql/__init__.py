@@ -13,7 +13,8 @@ KVS (Figure 3).  This package provides exactly those semantics:
 * a small SQL dialect -- ``CREATE TABLE``, ``CREATE INDEX``, ``SELECT``
   (single table or equi-join, ``WHERE``, ``ORDER BY``, ``LIMIT``,
   aggregates), ``INSERT``, ``UPDATE``, ``DELETE`` -- with ``?`` parameter
-  binding (:mod:`repro.sql.parser`, :mod:`repro.sql.executor`);
+  binding (:mod:`repro.sql.parser`), each statement text compiled once
+  into a cached plan (:mod:`repro.sql.plans`);
 * hash secondary indexes with visibility recheck (:mod:`repro.sql.indexes`);
 * row-level triggers, used to reproduce the paper's trigger-based KVS
   invalidation (:mod:`repro.sql.triggers`).

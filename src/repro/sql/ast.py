@@ -4,6 +4,9 @@
 class Statement:
     """Base class of all statements."""
 
+    #: how many ``?`` placeholders the text holds (set by the parser)
+    param_count = 0
+
 
 class ColumnDef:
     """Column clause of CREATE TABLE."""

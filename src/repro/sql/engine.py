@@ -19,13 +19,14 @@ import time
 
 from repro.errors import (
     SchemaError,
+    SQLError,
     TransactionAbortedError,
     TransactionStateError,
 )
 from repro.sql import ast
-from repro.sql.executor import Executor
 from repro.sql.indexes import HashIndex
 from repro.sql.parser import parse
+from repro.sql.plans import compile_statement
 from repro.sql.rows import ResultSet
 from repro.sql.schema import Column, TableSchema
 from repro.sql.storage import TableStorage
@@ -51,9 +52,13 @@ class Database:
         self._tables = {}
         self._indexes = {}
         self._latch = threading.RLock()
-        self._executor = Executor(self)
+        #: statement text -> parsed statement (never invalidated); read and
+        #: filled without a lock: two threads parsing one text at once
+        #: store equal statements, and either may win
         self._statement_cache = {}
-        self._statement_cache_lock = threading.Lock()
+        #: statement text -> compiled plan; read, filled and dropped (on
+        #: DDL) under the latch, so a plan always matches the schema
+        self._plans = {}
         # Which access path ran and what reclamation cost (see stats());
         # plain ints, bumped only under the latch.
         self.pk_probes = 0
@@ -61,6 +66,7 @@ class Database:
         self.full_scans = 0
         self.rows_examined = 0
         self.rows_written = 0
+        self.plans_compiled = 0
         self.vacuum_runs = 0
         self.vacuum_max_pause_us = 0
         self._written_at_vacuum = 0
@@ -100,6 +106,7 @@ class Database:
             self._tables[schema.name.lower()] = TableStorage(
                 schema, self.txmanager
             )
+            self._plans.clear()
             if self.wal is not None:
                 from repro.sql.wal import ddl_for_schema
 
@@ -112,6 +119,7 @@ class Database:
                     return
                 raise SchemaError("no table named {!r}".format(table_name))
             del self._tables[table_name.lower()]
+            self._plans.clear()
             if self.wal is not None:
                 self.wal.log_ddl("DROP TABLE {}".format(table_name))
             self._indexes = {
@@ -133,6 +141,7 @@ class Database:
                     index.add(logical_row.rowid, version.values)
             storage.indexes.append(index)
             self._indexes[name.lower()] = index
+            self._plans.clear()
             if self.wal is not None:
                 from repro.sql.wal import ddl_for_index
 
@@ -208,6 +217,7 @@ class Database:
                 "index_probes": self.index_probes,
                 "full_scans": self.full_scans,
                 "rows_examined": self.rows_examined,
+                "plans_compiled": self.plans_compiled,
                 "vacuum_runs": self.vacuum_runs,
                 "vacuum_max_pause_us": self.vacuum_max_pause_us,
                 "versions": sum(
@@ -218,13 +228,18 @@ class Database:
             }
 
     def _parse_cached(self, sql):
-        with self._statement_cache_lock:
-            statement = self._statement_cache.get(sql)
+        statement = self._statement_cache.get(sql)
         if statement is None:
-            statement = parse(sql)
-            with self._statement_cache_lock:
-                self._statement_cache[sql] = statement
+            statement = self._statement_cache[sql] = parse(sql)
         return statement
+
+    def _plan(self, sql, statement):
+        """The cached plan for ``sql``, compiled on first use (latched)."""
+        plan = self._plans.get(sql)
+        if plan is None:
+            plan = self._plans[sql] = compile_statement(self, statement)
+            self.plans_compiled += 1
+        return plan
 
 
 class Connection:
@@ -345,27 +360,11 @@ class Connection:
         the whole transaction.
         """
         self._check_open()
-        statement = self.db._parse_cached(sql)
-
-        if isinstance(statement, ast.Begin):
-            self.begin()
-            return ResultSet()
-        if isinstance(statement, ast.Commit):
-            self.commit()
-            return ResultSet()
-        if isinstance(statement, ast.Rollback):
-            self.rollback()
-            return ResultSet()
-        if isinstance(statement, ast.CreateTable):
-            self._create_table(statement)
-            return ResultSet()
-        if isinstance(statement, ast.DropTable):
-            self.db.drop_table(statement.table, statement.if_exists)
-            return ResultSet()
-        if isinstance(statement, ast.CreateIndex):
-            self.db.create_index(
-                statement.name, statement.table, statement.columns
-            )
+        db = self.db
+        statement = db._parse_cached(sql)
+        control = _CONTROL.get(type(statement))
+        if control is not None:
+            control(self, statement)
             return ResultSet()
 
         autocommit = not self.in_transaction
@@ -373,13 +372,21 @@ class Connection:
             self.begin()
         tx = self._tx
         try:
-            with self.db._latch:
+            with db._latch:
                 if (
-                    tx.isolation == IsolationLevel.READ_COMMITTED
-                    and not autocommit
+                    not autocommit
+                    and tx.isolation == IsolationLevel.READ_COMMITTED
                 ):
-                    self.db.txmanager.refresh_snapshot(tx)
-                result = self.db._executor.execute(self, statement, tuple(params))
+                    db.txmanager.refresh_snapshot(tx)
+                plan = db._plan(sql, statement)
+                # checked once here, so a plan indexes params unchecked
+                params = tuple(params)
+                if len(params) < statement.param_count:
+                    raise SQLError(
+                        "statement requires at least {} parameters, got {}"
+                        .format(statement.param_count, len(params))
+                    )
+                result = plan(self, tx, params)
         except TransactionAbortedError:
             self.db.txmanager.abort(tx)
             self._tx = None
@@ -412,3 +419,18 @@ class Connection:
         ]
         schema = TableSchema(statement.table, columns, statement.primary_key)
         self.db.create_table(schema, statement.if_not_exists)
+
+
+#: statements that run outside any plan: transaction control and DDL
+_CONTROL = {
+    ast.Begin: lambda connection, statement: connection.begin(),
+    ast.Commit: lambda connection, statement: connection.commit(),
+    ast.Rollback: lambda connection, statement: connection.rollback(),
+    ast.CreateTable: Connection._create_table,
+    ast.DropTable: lambda connection, statement: connection.db.drop_table(
+        statement.table, statement.if_exists
+    ),
+    ast.CreateIndex: lambda connection, statement: connection.db.create_index(
+        statement.name, statement.table, statement.columns
+    ),
+}

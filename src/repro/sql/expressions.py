@@ -1,37 +1,117 @@
-"""Expression trees for WHERE clauses, SET assignments, and select items."""
+"""Expression trees for WHERE clauses, SET assignments, and select items.
+
+The parser builds the nodes.  A statement plan (:mod:`repro.sql.plans`)
+compiles each tree once, against a :class:`Scope` that fixes where every
+column reference points, into a closure ``fn(row, params)``: ``row`` is
+a storage tuple (the concatenation of several for a join, the output
+values for HAVING or ORDER BY over output names) and ``params`` the
+tuple bound to the ``?`` placeholders.  Nothing walks a tree per row.
+
+SQL's three-valued logic holds: a NULL operand makes a comparison or an
+arithmetic result NULL (``None``), AND/OR follow the truth tables, and a
+WHERE keeps a row only for a genuine ``True``.  An operand of the wrong
+type for its operator raises :class:`~repro.errors.SQLError`.
+"""
+
+import functools
+import operator
+import re
 
 from repro.errors import SQLError, SchemaError
 
 
-class EvalContext:
-    """Runtime environment for expression evaluation.
+class Scope:
+    """Where a statement's column references resolve, fixed at plan time.
 
-    ``rows`` maps a table alias (lower-cased) to the current row dict for
-    that alias.  ``default_rows`` is the search order for unqualified
-    column references.  ``params`` is the positional parameter tuple bound
-    to ``?`` placeholders.
+    ``tables`` lists ``(alias, column_names)`` in FROM/JOIN order; the
+    row a compiled expression reads is the concatenation of their tuples.
+    A name resolves as written first, then case-insensitively; an
+    unqualified name resolves to the first table that has it; an alias
+    given twice names the later table.
     """
 
-    __slots__ = ("rows", "default_rows", "params")
+    def __init__(self, tables):
+        #: name -> position in the row, one dict per table, in order
+        self._tables = []
+        self._aliases = {}
+        offset = 0
+        for alias, names in tables:
+            columns = dict(zip(names, range(offset, offset + len(names))))
+            self._tables.append(columns)
+            self._aliases[alias] = columns
+            offset += len(names)
 
-    def __init__(self, rows=None, default_rows=None, params=()):
-        self.rows = rows or {}
-        self.default_rows = default_rows if default_rows is not None else list(
-            self.rows.values()
-        )
-        self.params = params
+    def position(self, qualifier, name):
+        """Row position of column ``name`` (of table ``qualifier``)."""
+        if qualifier is None:
+            tables = self._tables
+        else:
+            columns = self._aliases.get(qualifier)
+            if columns is None:
+                raise SchemaError("unknown table alias {!r}".format(qualifier))
+            tables = (columns,)
+        for columns in tables:
+            position = columns.get(name)
+            if position is None:
+                lowered = name.lower()
+                for column, candidate in columns.items():
+                    if column.lower() == lowered:
+                        position = candidate
+                        break
+            if position is not None:
+                return position
+        raise SchemaError("unknown column {!r}".format(name))
+
+    def star(self, qualifier=None):
+        """``(name, position)`` of each column ``*`` / ``alias.*`` yields."""
+        if qualifier is None:
+            tables = self._aliases.values()
+        else:
+            columns = self._aliases.get(qualifier)
+            if columns is None:
+                raise SchemaError("unknown alias {!r}".format(qualifier))
+            tables = (columns,)
+        return [item for columns in tables for item in columns.items()]
+
+
+def _type_error(op, left, right):
+    return SQLError("cannot apply {} to {!r} and {!r}".format(op, left, right))
 
 
 class Expr:
     """Base class of all expression nodes."""
 
-    def evaluate(self, ctx):
+    def compile(self, scope):
+        """The closure ``fn(row, params)`` computing this node."""
         raise NotImplementedError
+
+    def inline(self, scope):
+        """``(kind, payload)`` for operators that read their operands
+        inline: ``("col", position)``, ``("param", index)``,
+        ``("const", value)``, or ``("fn", closure)``."""
+        return "fn", self.compile(scope)
 
     def references(self):
         """Yield ``(qualifier, column)`` pairs this expression reads."""
         return
         yield  # pragma: no cover
+
+
+def reader(kind, payload):
+    """A closure for an :meth:`Expr.inline` descriptor."""
+    if kind == "col":
+        def column(row, params):
+            return row[payload]
+        return column
+    if kind == "param":
+        def param(row, params):
+            return params[payload]
+        return param
+    if kind == "const":
+        def literal(row, params):
+            return payload
+        return literal
+    return payload
 
 
 class Literal(Expr):
@@ -40,30 +120,33 @@ class Literal(Expr):
     def __init__(self, value):
         self.value = value
 
-    def evaluate(self, ctx):
-        return self.value
+    def compile(self, scope):
+        return reader("const", self.value)
+
+    def inline(self, scope):
+        return "const", self.value
 
     def __repr__(self):
         return "Literal({!r})".format(self.value)
 
 
 class Param(Expr):
-    """A ``?`` placeholder, bound positionally at execution time."""
+    """A ``?`` placeholder, bound positionally at execution time.
+
+    The engine checks the parameter count before a plan runs, so the
+    closure indexes ``params`` without a bounds check.
+    """
 
     __slots__ = ("index",)
 
     def __init__(self, index):
         self.index = index
 
-    def evaluate(self, ctx):
-        try:
-            return ctx.params[self.index]
-        except IndexError:
-            raise SQLError(
-                "statement requires at least {} parameters, got {}".format(
-                    self.index + 1, len(ctx.params)
-                )
-            )
+    def compile(self, scope):
+        return reader("param", self.index)
+
+    def inline(self, scope):
+        return "param", self.index
 
     def __repr__(self):
         return "Param({})".format(self.index)
@@ -76,17 +159,11 @@ class ColumnRef(Expr):
         self.qualifier = qualifier.lower() if qualifier else None
         self.name = name
 
-    def evaluate(self, ctx):
-        if self.qualifier is not None:
-            row = ctx.rows.get(self.qualifier)
-            if row is None:
-                raise SchemaError("unknown table alias {!r}".format(self.qualifier))
-            return _row_get(row, self.name, self)
-        for row in ctx.default_rows:
-            value = _row_get(row, self.name, None)
-            if value is not _MISSING:
-                return value
-        raise SchemaError("unknown column {!r}".format(self.name))
+    def compile(self, scope):
+        return reader(*self.inline(scope))
+
+    def inline(self, scope):
+        return "col", scope.position(self.qualifier, self.name)
 
     def references(self):
         yield (self.qualifier, self.name)
@@ -97,40 +174,65 @@ class ColumnRef(Expr):
         return "ColumnRef({})".format(self.name)
 
 
-_MISSING = object()
-
-
-def _row_get(row, name, ref):
-    """``row[name]``: the name as written first, then case-insensitively."""
-    value = row.get(name, _MISSING)
-    if value is not _MISSING:
-        return value
-    lowered_name = name.lower()
-    for key, value in row.items():
-        if key.lower() == lowered_name:
-            return value
-    if ref is None:
-        return _MISSING
-    raise SchemaError("unknown column {!r}".format(ref.name))
-
-
 _COMPARATORS = {
-    "=": lambda a, b: a == b,
-    "!=": lambda a, b: a != b,
-    "<>": lambda a, b: a != b,
-    "<": lambda a, b: a < b,
-    "<=": lambda a, b: a <= b,
-    ">": lambda a, b: a > b,
-    ">=": lambda a, b: a >= b,
+    "=": operator.eq,
+    "!=": operator.ne,
+    "<>": operator.ne,
+    "<": operator.lt,
+    "<=": operator.le,
+    ">": operator.gt,
+    ">=": operator.ge,
 }
 
 _ARITHMETIC = {
-    "+": lambda a, b: a + b,
-    "-": lambda a, b: a - b,
-    "*": lambda a, b: a * b,
-    "/": lambda a, b: a / b,
-    "%": lambda a, b: a % b,
+    "+": operator.add,
+    "-": operator.sub,
+    "*": operator.mul,
+    "/": operator.truediv,
+    "%": operator.mod,
 }
+
+
+def _binary(symbol, apply, left, right, scope, errors):
+    """Compile ``left <symbol> right`` with NULL propagation; ``errors``
+    are the exceptions ``apply`` may raise on a bad operand."""
+    left_kind, left = left.inline(scope)
+    right_kind, right = right.inline(scope)
+    if left_kind == "col" and right_kind == "param":
+        # column <op> ?: every WHERE in BG, read without helper calls
+        position, index = left, right
+
+        def with_param(row, params):
+            value = row[position]
+            bound = params[index]
+            if value is None or bound is None:
+                return None
+            try:
+                return apply(value, bound)
+            except errors as exc:
+                raise _failure(symbol, value, bound, exc)
+        return with_param
+    read_left = reader(left_kind, left)
+    read_right = reader(right_kind, right)
+
+    def binary(row, params):
+        lhs = read_left(row, params)
+        rhs = read_right(row, params)
+        if lhs is None or rhs is None:
+            return None
+        try:
+            return apply(lhs, rhs)
+        except errors as exc:
+            raise _failure(symbol, lhs, rhs, exc)
+    return binary
+
+
+def _failure(symbol, left, right, exc):
+    if isinstance(exc, ZeroDivisionError):
+        return SQLError("division by zero: {!r} {} {!r}".format(
+            left, symbol, right
+        ))
+    return _type_error(symbol, left, right)
 
 
 class Comparison(Expr):
@@ -145,12 +247,9 @@ class Comparison(Expr):
         self.left = left
         self.right = right
 
-    def evaluate(self, ctx):
-        lhs = self.left.evaluate(ctx)
-        rhs = self.right.evaluate(ctx)
-        if lhs is None or rhs is None:
-            return None
-        return _COMPARATORS[self.op](lhs, rhs)
+    def compile(self, scope):
+        return _binary(self.op, _COMPARATORS[self.op], self.left,
+                       self.right, scope, TypeError)
 
     def references(self):
         yield from self.left.references()
@@ -170,16 +269,20 @@ class Arithmetic(Expr):
         self.left = left
         self.right = right
 
-    def evaluate(self, ctx):
-        lhs = self.left.evaluate(ctx)
-        rhs = self.right.evaluate(ctx)
-        if lhs is None or rhs is None:
-            return None
-        return _ARITHMETIC[self.op](lhs, rhs)
+    def compile(self, scope):
+        return _binary(self.op, _ARITHMETIC[self.op], self.left,
+                       self.right, scope, (TypeError, ZeroDivisionError))
 
     def references(self):
         yield from self.left.references()
         yield from self.right.references()
+
+
+def _chain(expr, cls):
+    """The operands of a run of nested ``cls`` nodes, left to right."""
+    if isinstance(expr, cls):
+        return _chain(expr.left, cls) + _chain(expr.right, cls)
+    return [expr]
 
 
 class And(Expr):
@@ -189,16 +292,22 @@ class And(Expr):
         self.left = left
         self.right = right
 
-    def evaluate(self, ctx):
-        lhs = self.left.evaluate(ctx)
-        if lhs is False:
-            return False
-        rhs = self.right.evaluate(ctx)
-        if rhs is False:
-            return False
-        if lhs is None or rhs is None:
-            return None
-        return True
+    def compile(self, scope):
+        # AND is associative under three-valued logic, so a chain
+        # compiles to one closure: stop at the first False, else NULL if
+        # any operand was NULL.
+        parts = [part.compile(scope) for part in _chain(self, And)]
+
+        def every(row, params):
+            unknown = False
+            for part in parts:
+                value = part(row, params)
+                if value is False:
+                    return False
+                if value is None:
+                    unknown = True
+            return None if unknown else True
+        return every
 
     def references(self):
         yield from self.left.references()
@@ -212,16 +321,19 @@ class Or(Expr):
         self.left = left
         self.right = right
 
-    def evaluate(self, ctx):
-        lhs = self.left.evaluate(ctx)
-        if lhs is True:
-            return True
-        rhs = self.right.evaluate(ctx)
-        if rhs is True:
-            return True
-        if lhs is None or rhs is None:
-            return None
-        return False
+    def compile(self, scope):
+        parts = [part.compile(scope) for part in _chain(self, Or)]
+
+        def some(row, params):
+            unknown = False
+            for part in parts:
+                value = part(row, params)
+                if value is True:
+                    return True
+                if value is None:
+                    unknown = True
+            return None if unknown else False
+        return some
 
     def references(self):
         yield from self.left.references()
@@ -234,11 +346,15 @@ class Not(Expr):
     def __init__(self, operand):
         self.operand = operand
 
-    def evaluate(self, ctx):
-        value = self.operand.evaluate(ctx)
-        if value is None:
-            return None
-        return not value
+    def compile(self, scope):
+        inner = self.operand.compile(scope)
+
+        def negation(row, params):
+            value = inner(row, params)
+            if value is None:
+                return None
+            return not value
+        return negation
 
     def references(self):
         yield from self.operand.references()
@@ -251,13 +367,34 @@ class IsNull(Expr):
         self.operand = operand
         self.negate = negate
 
-    def evaluate(self, ctx):
-        value = self.operand.evaluate(ctx)
-        result = value is None
-        return not result if self.negate else result
+    def compile(self, scope):
+        inner = self.operand.compile(scope)
+        if self.negate:
+            def is_not_null(row, params):
+                return inner(row, params) is not None
+            return is_not_null
+
+        def is_null(row, params):
+            return inner(row, params) is None
+        return is_null
 
     def references(self):
         yield from self.operand.references()
+
+
+@functools.lru_cache(maxsize=256)
+def _like_regex(pattern_text):
+    """The anchored regex for a LIKE pattern (``%`` any run, ``_`` one)."""
+    pieces = ["^"]
+    for ch in pattern_text:
+        if ch == "%":
+            pieces.append(".*")
+        elif ch == "_":
+            pieces.append(".")
+        else:
+            pieces.append(re.escape(ch))
+    pieces.append("$")
+    return re.compile("".join(pieces), re.DOTALL)
 
 
 class Like(Expr):
@@ -268,40 +405,30 @@ class Like(Expr):
     document it).  NULL operands yield NULL.
     """
 
-    __slots__ = ("operand", "pattern", "negate", "_compiled", "_literal")
+    __slots__ = ("operand", "pattern", "negate")
 
     def __init__(self, operand, pattern, negate=False):
         self.operand = operand
         self.pattern = pattern
         self.negate = negate
-        self._compiled = None
-        self._literal = None
 
-    def _matcher(self, pattern_text):
-        import re
+    def compile(self, scope):
+        value_of = self.operand.compile(scope)
+        pattern_of = self.pattern.compile(scope)
+        negate = self.negate
 
-        if self._compiled is not None and self._literal == pattern_text:
-            return self._compiled
-        pieces = ["^"]
-        for ch in pattern_text:
-            if ch == "%":
-                pieces.append(".*")
-            elif ch == "_":
-                pieces.append(".")
-            else:
-                pieces.append(re.escape(ch))
-        pieces.append("$")
-        self._compiled = re.compile("".join(pieces), re.DOTALL)
-        self._literal = pattern_text
-        return self._compiled
-
-    def evaluate(self, ctx):
-        value = self.operand.evaluate(ctx)
-        pattern_text = self.pattern.evaluate(ctx)
-        if value is None or pattern_text is None:
-            return None
-        result = bool(self._matcher(pattern_text).match(str(value)))
-        return not result if self.negate else result
+        def like(row, params):
+            value = value_of(row, params)
+            pattern_text = pattern_of(row, params)
+            if value is None or pattern_text is None:
+                return None
+            try:
+                regex = _like_regex(pattern_text)
+            except TypeError:
+                raise _type_error("LIKE", value, pattern_text)
+            result = regex.match(str(value)) is not None
+            return not result if negate else result
+        return like
 
     def references(self):
         yield from self.operand.references()
@@ -309,7 +436,12 @@ class Like(Expr):
 
 
 class Between(Expr):
-    """``expr [NOT] BETWEEN low AND high`` (inclusive bounds)."""
+    """``expr [NOT] BETWEEN low AND high`` (inclusive bounds).
+
+    It means ``expr >= low AND expr <= high`` under three-valued logic,
+    so a NULL bound still gives FALSE when the other bound excludes the
+    value.
+    """
 
     __slots__ = ("operand", "low", "high", "negate")
 
@@ -319,14 +451,33 @@ class Between(Expr):
         self.high = high
         self.negate = negate
 
-    def evaluate(self, ctx):
-        value = self.operand.evaluate(ctx)
-        low = self.low.evaluate(ctx)
-        high = self.high.evaluate(ctx)
-        if value is None or low is None or high is None:
-            return None
-        result = low <= value <= high
-        return not result if self.negate else result
+    def compile(self, scope):
+        value_of = self.operand.compile(scope)
+        low_of = self.low.compile(scope)
+        high_of = self.high.compile(scope)
+        negate = self.negate
+
+        def between(row, params):
+            value = value_of(row, params)
+            low = low_of(row, params)
+            high = high_of(row, params)
+            try:
+                above = None if value is None or low is None else low <= value
+                below = None
+                if above is not False and value is not None \
+                        and high is not None:
+                    below = value <= high
+            except TypeError:
+                raise SQLError("cannot compare {!r} BETWEEN {!r} AND {!r}"
+                               .format(value, low, high))
+            if above is False or below is False:
+                result = False
+            elif above is None or below is None:
+                return None
+            else:
+                result = True
+            return not result if negate else result
+        return between
 
     def references(self):
         yield from self.operand.references()
@@ -342,13 +493,18 @@ class InList(Expr):
         self.options = list(options)
         self.negate = negate
 
-    def evaluate(self, ctx):
-        value = self.operand.evaluate(ctx)
-        if value is None:
-            return None
-        members = [option.evaluate(ctx) for option in self.options]
-        result = value in members
-        return not result if self.negate else result
+    def compile(self, scope):
+        value_of = self.operand.compile(scope)
+        options = [option.compile(scope) for option in self.options]
+        negate = self.negate
+
+        def in_list(row, params):
+            value = value_of(row, params)
+            if value is None:
+                return None
+            result = value in [option(row, params) for option in options]
+            return not result if negate else result
+        return in_list
 
     def references(self):
         yield from self.operand.references()
@@ -356,18 +512,11 @@ class InList(Expr):
             yield from option.references()
 
 
-def is_true(value):
-    """SQL WHERE acceptance: only a genuine True passes (NULL filters out)."""
-    return value is True
-
-
 def conjuncts(expr):
     """Flatten a predicate into its top-level AND-ed conjuncts."""
     if expr is None:
         return []
-    if isinstance(expr, And):
-        return conjuncts(expr.left) + conjuncts(expr.right)
-    return [expr]
+    return _chain(expr, And)
 
 
 def equality_bindings(expr):

@@ -3,7 +3,7 @@
 An index maps a tuple of column values to the set of rowids whose version
 chains *ever* contained that value.  Entries are inserted eagerly and only
 removed by vacuum, so an index probe is a superset of the true result; the
-executor rechecks both visibility and the predicate against the visible
+statement plan rechecks both visibility and the predicate against the visible
 version.  This "index as accelerator with recheck" design keeps the index
 trivially correct under MVCC.
 """

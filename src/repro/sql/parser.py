@@ -174,6 +174,7 @@ class Parser:
         self._accept_op(";")
         if self._peek() is not None:
             self._error("unexpected trailing input")
+        statement.param_count = self._param_count
         return statement
 
     def _statement(self):

@@ -1,48 +1,60 @@
 """Result row and result-set containers returned by ``execute``."""
 
 
+class Columns:
+    """A plan's output column names and their case-insensitive positions.
+
+    Built once per plan and shared by every :class:`Row` it returns (a
+    later name wins a case-insensitive clash).
+    """
+
+    __slots__ = ("names", "positions")
+
+    def __init__(self, names):
+        self.names = tuple(names)
+        self.positions = {n.lower(): i for i, n in enumerate(self.names)}
+
+
 class Row:
     """A single result row with case-insensitive column access.
 
     Supports ``row["name"]``, ``row.name``, iteration over values in
     select-list order, and comparison against plain dicts in tests.
+    ``values`` is a tuple in the order of ``columns.names``.
     """
 
-    __slots__ = ("_names", "_values", "_lookup")
+    __slots__ = ("_columns", "_values")
 
-    def __init__(self, names, values):
-        object.__setattr__(self, "_names", tuple(names))
-        object.__setattr__(self, "_values", tuple(values))
-        object.__setattr__(
-            self, "_lookup", {n.lower(): i for i, n in enumerate(names)}
-        )
+    def __init__(self, columns, values):
+        self._columns = columns
+        self._values = values
 
     def __getitem__(self, key):
         if isinstance(key, int):
             return self._values[key]
-        return self._values[self._lookup[key.lower()]]
+        return self._values[self._columns.positions[key.lower()]]
 
     def __getattr__(self, name):
         try:
-            return self._values[self._lookup[name.lower()]]
+            return self._values[self._columns.positions[name.lower()]]
         except KeyError:
             raise AttributeError(name)
 
     def get(self, key, default=None):
-        index = self._lookup.get(key.lower())
+        index = self._columns.positions.get(key.lower())
         return self._values[index] if index is not None else default
 
     def keys(self):
-        return list(self._names)
+        return list(self._columns.names)
 
     def values(self):
         return list(self._values)
 
     def items(self):
-        return list(zip(self._names, self._values))
+        return list(zip(self._columns.names, self._values))
 
     def as_dict(self):
-        return dict(zip(self._names, self._values))
+        return dict(zip(self._columns.names, self._values))
 
     def __iter__(self):
         return iter(self._values)
@@ -60,7 +72,7 @@ class Row:
         return NotImplemented
 
     def __hash__(self):
-        return hash((self._names, self._values))
+        return hash((self._columns.names, self._values))
 
     def __repr__(self):
         return "Row({})".format(

@@ -77,24 +77,69 @@ class TableSchema:
         Missing columns default to ``None``; unknown columns raise; NOT NULL
         violations raise :class:`IntegrityError`.
         """
-        row = [None] * len(self.columns)
-        for name, value in values_by_name.items():
-            idx = self.column_index(name)
-            column = self.columns[idx]
-            try:
-                row[idx] = column.sql_type.coerce(value)
-            except (TypeError, ValueError) as exc:
-                raise IntegrityError(
-                    "bad value for column {}.{}: {}".format(
-                        self.name, column.name, exc
+        build = self.insert_builder(list(values_by_name))
+        return build(tuple(values_by_name.values()))
+
+    def insert_builder(self, column_names):
+        """``build(values) -> storage tuple`` for values given in
+        ``column_names`` order (a repeated name: its last value wins).
+
+        Names resolve now, so an unknown one raises here; each call
+        coerces the given values and checks every NOT NULL column.
+        """
+        slots = [
+            (self.column_index(name), index)
+            for name, index in dict(
+                zip(column_names, range(len(column_names)))
+            ).items()
+        ]
+        required = [
+            idx for idx, column in enumerate(self.columns)
+            if not column.nullable
+        ]
+        return self._builder(slots, required)
+
+    def update_builder(self, column_names):
+        """``build(values, old) -> storage tuple``: ``old`` with the
+        columns ``column_names`` set to ``values`` (last one wins).
+
+        Only the assigned columns are coerced and NOT NULL-checked; the
+        others hold what a builder already accepted.
+        """
+        last = {}
+        for index, name in enumerate(column_names):
+            last[self.column_index(name)] = index
+        slots = sorted(last.items())
+        required = [idx for idx, _ in slots if not self.columns[idx].nullable]
+        return self._builder(slots, required)
+
+    def _builder(self, slots, required):
+        coercions = [
+            (idx, index, self.columns[idx].sql_type.coerce)
+            for idx, index in slots
+        ]
+        width = len(self.columns)
+
+        def build(values, old=None):
+            row = [None] * width if old is None else list(old)
+            for idx, index, coerce in coercions:
+                try:
+                    row[idx] = coerce(values[index])
+                except (TypeError, ValueError) as exc:
+                    raise IntegrityError(
+                        "bad value for column {}.{}: {}".format(
+                            self.name, self.columns[idx].name, exc
+                        )
                     )
-                )
-        for idx, column in enumerate(self.columns):
-            if row[idx] is None and not column.nullable:
-                raise IntegrityError(
-                    "column {}.{} may not be NULL".format(self.name, column.name)
-                )
-        return tuple(row)
+            for idx in required:
+                if row[idx] is None:
+                    raise IntegrityError(
+                        "column {}.{} may not be NULL".format(
+                            self.name, self.columns[idx].name
+                        )
+                    )
+            return tuple(row)
+        return build
 
     def pk_value(self, row):
         """Extract the primary-key tuple from a storage tuple, or ``None``."""

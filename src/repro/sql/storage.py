@@ -56,7 +56,7 @@ class TableStorage:
         self._rowid_counter = itertools.count(1)
         #: pk tuple -> set of rowids whose chains ever held that pk: like a
         #: secondary index, a superset that the uniqueness check and the
-        #: executor's point lookups recheck, so stale entries are safe.
+        #: plans' point lookups recheck, so stale entries are safe.
         self._pk_rowids = {}
         #: Secondary indexes attached by the engine (see indexes.py).
         self.indexes = []

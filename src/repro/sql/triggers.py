@@ -79,6 +79,11 @@ class TriggerRegistry:
             )
         self._triggers[table_name.lower()] = remaining
 
+    def watches(self, table_key):
+        """True when a trigger is attached to the (lower-cased) table:
+        only then does a statement build row dicts for :meth:`fire`."""
+        return bool(self._triggers.get(table_key))
+
     def fire(self, connection, table_name, event, old_row, new_row, tx):
         """Invoke matching triggers for one affected row."""
         for trigger in self._triggers.get(table_name.lower(), ()):

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
 from repro.config import KVSConfig
+from repro.errors import KeyFormatError
 from repro.kvs.store import CacheStore, StoreResult
 from repro.util.clock import LogicalClock
 
@@ -58,6 +59,27 @@ def test_append_concatenates(key, parts):
     for part in parts[1:]:
         store.append(key, part)
     assert store.get(key) == (b"".join(parts), 0)
+
+
+def per_character_key_ok(key):
+    """The key rule as a loop over characters: the reference for the
+    store's one-regex check."""
+    return not any(ch.isspace() or ord(ch) < 0x21 for ch in key)
+
+
+@given(key=st.text(min_size=1, max_size=40) | st.text(
+    alphabet=st.characters(max_codepoint=0x3000), min_size=1, max_size=8,
+))
+@settings(max_examples=500)
+def test_key_check_matches_per_character_rule(key):
+    store = CacheStore(clock=LogicalClock())
+    try:
+        store.set(key, b"v")
+    except KeyFormatError:
+        accepted = False
+    else:
+        accepted = True
+    assert accepted == per_character_key_ok(key)
 
 
 @given(key=keys, value=values, interloper=values)

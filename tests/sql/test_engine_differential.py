@@ -1,6 +1,6 @@
 """Stateful differentials for the SQL engine.
 
-Two modes, both derandomized so a red run reproduces anywhere:
+Three modes, all derandomized so a red run reproduces anywhere:
 
 * **engine vs a plain-Python model** -- up to three connections begin,
   write, read through every access path, commit, roll back and vacuum in
@@ -11,9 +11,16 @@ Two modes, both derandomized so a red run reproduces anywhere:
   any two steps and must change nothing a snapshot can observe.
 * **engine vs stdlib sqlite3** -- one autocommit session runs the BG
   statement shapes against both and compares rows, counts and refusals.
+* **the dialect vs stdlib sqlite3** -- generated statements over two
+  tables with NULL-bearing data: joins (hash and nested loop), GROUP BY /
+  HAVING, aggregates, DISTINCT, ORDER BY / LIMIT, LIKE, BETWEEN, IN,
+  IS NULL, arithmetic, multi-row INSERT, UPDATE and DELETE.  Where the
+  dialects differ by design the statement is rendered twice or kept to
+  common ground; the list is beside the generator.
 """
 
 import itertools
+import re
 import sqlite3
 
 import hypothesis.strategies as st
@@ -481,6 +488,401 @@ def test_bg_statement_shapes_match_sqlite(statements):
                 # sqlite3 reports rowcount -1 for a SELECT
                 mine, reference = mine[1], reference[1]
             assert mine == reference, (sql, params)
+    finally:
+        theirs.close()
+        ours.close()
+
+
+# -- mode 3: generated statements over the whole dialect against sqlite3 -------------
+#
+# Where the two dialects differ by design, each statement is rendered
+# once per side or kept to their common ground:
+#
+# * NULL ordering: NULLs sort last ascending and first descending here;
+#   sqlite3's text says NULLS LAST / NULLS FIRST.
+# * ``/`` is true division here; sqlite3's text casts the dividend to
+#   REAL.  Divisors are non-zero literals (x / 0 is an SQLError here and
+#   NULL there), and ``%`` takes a column that is never negative
+#   (Python and C disagree on the sign of a negative remainder).
+# * LIKE is case-sensitive here; sqlite3 runs with
+#   ``PRAGMA case_sensitive_like = ON``.
+# * Mixed-type comparison is an SQLError here and compares storage
+#   classes there: integer expressions meet integer expressions, text
+#   meets text.
+# * Typed columns refuse what sqlite3's affinity stores (2.5 in an
+#   INTEGER column), so SET assigns integer expressions without ``/``.
+# * ``x IN (1, NULL)`` is FALSE here for x = 2 and NULL there: IN lists
+#   hold no NULL.
+# * A WHERE keeps a row only for a genuine TRUE here (``WHERE x`` never
+#   passes an integer): predicates are comparisons and their
+#   combinations, never bare values.
+# * A constant integer in ORDER BY names a result column in sqlite3:
+#   every sort key reads a column.
+# * Ties are unordered in sqlite3: every ORDER BY ends in a unique key,
+#   LIMIT comes only with an ORDER BY, other results compare sorted.
+# * A grouped select list names only its group key and aggregates, and
+#   plain columns never sit beside an aggregate without GROUP BY.
+
+DIALECT_DDL = (
+    "CREATE TABLE a (id INTEGER PRIMARY KEY, x INTEGER, y INTEGER, s TEXT)",
+    "CREATE TABLE b (id INTEGER PRIMARY KEY, aid INTEGER, z INTEGER, s TEXT)",
+    "CREATE INDEX a_by_x ON a (x)",
+    "CREATE INDEX b_by_aid ON b (aid)",
+    "CREATE INDEX b_by_aid_z ON b (aid, z)",
+)
+
+DIALECT_SEED = (
+    ("INSERT INTO a (id, x, y, s) VALUES (?, ?, ?, ?)", [
+        (0, 0, 3, "ab"), (1, 1, None, "Ab"), (2, None, 1, None),
+        (3, 1, 4, "b_c"), (4, 2, 2, "x%y"),
+    ]),
+    ("INSERT INTO b (id, aid, z, s) VALUES (?, ?, ?, ?)", [
+        (0, 0, 1, "a"), (1, 1, None, "ab"), (2, 1, 2, None),
+        (3, None, 0, ""), (4, 3, 2, "Ab"),
+    ]),
+)
+
+SMALL = st.integers(0, 4)
+TEXTS = st.sampled_from(["ab", "Ab", "b_c", "x%y", "a", ""])
+PATTERNS = st.sampled_from(["a%", "A%", "%b%", "_b", "%y", "%", "ab", "b_c"])
+COMPARE = st.sampled_from(["=", "!=", "<>", "<", "<=", ">", ">="])
+
+
+def piece(ours, theirs=None, params=()):
+    """A fragment of a statement: our text, sqlite3's, its parameters."""
+    return ours, ours if theirs is None else theirs, tuple(params)
+
+
+def splice(template, *parts, theirs=None):
+    """Fill the ``{}`` slots of ``template`` (sqlite3: ``theirs``)."""
+    return (
+        template.format(*(part[0] for part in parts)),
+        (theirs or template).format(*(part[1] for part in parts)),
+        sum((part[2] for part in parts), ()),
+    )
+
+
+def quoted(text):
+    return piece("'{}'".format(text.replace("'", "''")))
+
+
+def bound(value):
+    return piece("?", params=(value,))
+
+
+def int_exprs(columns, never_negative, divide=True):
+    leaves = st.one_of(
+        st.sampled_from(columns).map(piece),
+        SMALL.map(lambda value: piece(str(value))),
+        (st.none() | SMALL).map(bound),
+        st.just(piece("NULL")),
+        st.tuples(st.sampled_from(never_negative), st.integers(1, 3)).map(
+            lambda t: piece("({} % {})".format(*t))
+        ),
+    )
+
+    def grow(inner):
+        options = [
+            st.tuples(inner, st.sampled_from("+-*"), inner).map(
+                lambda t: splice("({} " + t[1] + " {})", t[0], t[2])
+            ),
+            inner.map(lambda e: splice("(-{})", e)),
+        ]
+        if divide:
+            options.append(st.tuples(inner, st.integers(1, 3)).map(
+                lambda t: splice(
+                    "({} / %d)" % t[1], t[0],
+                    theirs="(CAST({} AS REAL) / %d)" % t[1],
+                )
+            ))
+        return st.one_of(options)
+    return st.recursive(leaves, grow, max_leaves=4)
+
+
+def text_exprs(columns):
+    return st.one_of(
+        st.sampled_from(columns).map(piece),
+        TEXTS.map(quoted),
+        (st.none() | TEXTS).map(bound),
+        st.just(piece("NULL")),
+    )
+
+
+def predicates(ints, texts, text_columns):
+    def negatable(template, negated):
+        return lambda t: splice(negated if t[-1] else template, *t[:-1])
+
+    leaves = st.one_of(
+        st.tuples(ints, COMPARE, ints).map(
+            lambda t: splice("({} " + t[1] + " {})", t[0], t[2])
+        ),
+        st.tuples(texts, COMPARE, texts).map(
+            lambda t: splice("({} " + t[1] + " {})", t[0], t[2])
+        ),
+        st.tuples(ints | texts, st.booleans()).map(
+            negatable("({} IS NULL)", "({} IS NOT NULL)")
+        ),
+        st.tuples(
+            st.sampled_from(text_columns).map(piece),
+            PATTERNS.map(quoted) | (st.none() | PATTERNS).map(bound),
+            st.booleans(),
+        ).map(negatable("({} LIKE {})", "({} NOT LIKE {})")),
+        st.tuples(ints, ints, ints, st.booleans()).map(
+            negatable("({} BETWEEN {} AND {})", "({} NOT BETWEEN {} AND {})")
+        ),
+        st.tuples(
+            ints,
+            st.lists(SMALL, min_size=1, max_size=3).map(
+                lambda values: piece(", ".join(map(str, values)))
+            ),
+            st.booleans(),
+        ).map(negatable("({} IN ({}))", "({} NOT IN ({}))")),
+        st.sampled_from(["TRUE", "FALSE", "NULL"]).map(piece),
+    )
+
+    def grow(inner):
+        return st.one_of(
+            inner.map(lambda p: splice("(NOT {})", p)),
+            st.tuples(inner, st.sampled_from(["AND", "OR"]), inner).map(
+                lambda t: splice("({} " + t[1] + " {})", t[0], t[2])
+            ),
+        )
+    return st.recursive(leaves, grow, max_leaves=4)
+
+
+def order_by(keys, tiebreak):
+    """``ORDER BY`` over ``(expr, descending)`` pairs then the unique
+    ``tiebreak`` columns, NULL placement spelled out for sqlite3."""
+    parts = []
+    for key, descending in list(keys) + [(piece(c), False) for c in tiebreak]:
+        if descending:
+            parts.append(splice("{} DESC", key, theirs="{} DESC NULLS FIRST"))
+        else:
+            parts.append(splice("{} ASC", key, theirs="{} ASC NULLS LAST"))
+    return splice(" ORDER BY " + ", ".join(["{}"] * len(parts)), *parts)
+
+
+def optional(clause_strategy, template):
+    return st.none() | clause_strategy.map(lambda p: splice(template, p))
+
+
+def glue(*parts):
+    """Concatenate fragments, skipping absent (``None``) clauses."""
+    parts = [part for part in parts if part is not None]
+    return splice("{}" * len(parts), *parts)
+
+
+A_INTS = int_exprs(["id", "x", "y"], ["id", "x"])
+A_TEXTS = text_exprs(["s"])
+A_WHERE = predicates(A_INTS, A_TEXTS, ["s"])
+SORT_KEYS = (A_INTS | A_TEXTS).filter(
+    lambda e: re.search(r"\b(id|x|y|s)\b", re.sub(r"'[^']*'", "", e[0]))
+)
+
+
+@st.composite
+def single_table_selects(draw):
+    items = draw(st.just([piece("*")]) | st.lists(A_INTS | A_TEXTS,
+                                                  min_size=1, max_size=3))
+    head = splice("SELECT " + ", ".join(["{}"] * len(items)) + " FROM a",
+                  *items)
+    where = draw(optional(A_WHERE, " WHERE {}"))
+    keys = draw(st.lists(st.tuples(SORT_KEYS, st.booleans()), max_size=2))
+    limit = draw(st.none() | st.integers(0, 4))
+    ordered = bool(keys) or limit is not None
+    tail = []
+    if ordered:
+        tail.append(order_by(keys, ["id"]))
+    if limit is not None:
+        tail.append(piece(" LIMIT {}".format(limit)))
+    return glue(head, where, *tail) + (ordered,)
+
+
+JOIN_CONDITIONS = st.sampled_from([
+    "a.id = b.aid", "b.aid = a.id", "a.x = b.z", "a.x = (b.z + 1)",
+    "a.x < b.z", "((a.x = b.z) OR (a.id = b.aid))",
+])
+JOIN_INTS = int_exprs(
+    ["a.id", "a.x", "a.y", "b.id", "b.aid", "b.z", "z", "aid"],
+    ["a.id", "a.x", "b.id"],
+)
+JOIN_TEXTS = text_exprs(["a.s", "b.s"])
+
+
+@st.composite
+def join_selects(draw):
+    third = draw(st.booleans())
+    items = draw(st.just([piece("*")]) | st.lists(JOIN_INTS | JOIN_TEXTS,
+                                                  min_size=1, max_size=3))
+    source = " FROM a JOIN b ON " + draw(JOIN_CONDITIONS)
+    tiebreak = ["a.id", "b.id"]
+    if third:
+        source += " INNER JOIN a c ON c.x = b.aid"
+        tiebreak.append("c.id")
+    head = splice("SELECT " + ", ".join(["{}"] * len(items)) + source,
+                  *items)
+    where = draw(optional(
+        predicates(JOIN_INTS, JOIN_TEXTS, ["a.s", "b.s"]), " WHERE {}"
+    ))
+    ordered = draw(st.booleans())
+    tail = [order_by([], tiebreak)] if ordered else []
+    return glue(head, where, *tail) + (ordered,)
+
+
+AGGREGATES = st.sampled_from([
+    "COUNT(*)", "COUNT(y)", "SUM(x)", "SUM((y + 1))", "MIN(y)", "MAX(s)",
+    "MIN(s)", "AVG(x)", "AVG(y)",
+])
+
+
+@st.composite
+def aggregate_selects(draw):
+    items = draw(st.lists(AGGREGATES, min_size=1, max_size=4))
+    where = draw(optional(A_WHERE, " WHERE {}"))
+    return glue(piece("SELECT " + ", ".join(items) + " FROM a"), where) \
+        + (False,)
+
+
+@st.composite
+def grouped_selects(draw):
+    key = draw(st.sampled_from(["x", "y", "s"]))
+    head = piece(
+        "SELECT {0}, COUNT(*) AS n, SUM(y) AS total, MAX(s) AS top FROM a"
+        .format(key)
+    )
+    where = draw(optional(A_WHERE, " WHERE {}"))
+    having = draw(st.none() | st.sampled_from([
+        " HAVING n > 1", " HAVING total IS NULL", " HAVING top = 'ab'",
+        " HAVING (n >= 1 AND total > 2)",
+    ]).map(lambda clause: None if clause is None else piece(clause)))
+    limit = draw(st.none() | st.integers(0, 3))
+    tail = [order_by([], [key])]
+    if limit is not None:
+        tail.append(piece(" LIMIT {}".format(limit)))
+    return glue(head, where, piece(" GROUP BY " + key), having, *tail) \
+        + (True,)
+
+
+@st.composite
+def distinct_selects(draw):
+    columns = draw(st.lists(st.sampled_from(["x", "y", "s"]), min_size=1,
+                            max_size=3, unique=True))
+    head = piece("SELECT DISTINCT " + ", ".join(columns) + " FROM a")
+    where = draw(optional(A_WHERE, " WHERE {}"))
+    ordered = draw(st.booleans())
+    tail = []
+    if ordered:
+        keys = [(piece(c), draw(st.booleans())) for c in columns]
+        tail.append(order_by(keys, []))
+        limit = draw(st.none() | st.integers(0, 3))
+        if limit is not None:
+            tail.append(piece(" LIMIT {}".format(limit)))
+    return glue(head, where, *tail) + (ordered,)
+
+
+def literal(value):
+    if value is None:
+        return "NULL"
+    if isinstance(value, str):
+        return quoted(value)[0]
+    return str(value)
+
+
+A_ROWS = st.tuples(st.integers(0, 7), st.none() | SMALL, st.none() | SMALL,
+                   st.none() | TEXTS)
+B_ROWS = st.tuples(st.integers(0, 7), st.none() | st.integers(0, 7),
+                   st.none() | SMALL, st.none() | TEXTS)
+SET_INTS = int_exprs(["id", "x", "y"], ["id", "x"], divide=False)
+
+
+@st.composite
+def dml(draw):
+    kind = draw(st.sampled_from(
+        ["insert", "insert-b", "insert-many", "update", "update-b", "delete"]
+    ))
+    if kind == "insert":
+        return piece("INSERT INTO a (id, x, y, s) VALUES (?, ?, ?, ?)",
+                     params=draw(A_ROWS)) + (False,)
+    if kind == "insert-b":
+        return piece("INSERT INTO b (id, aid, z, s) VALUES (?, ?, ?, ?)",
+                     params=draw(B_ROWS)) + (False,)
+    if kind == "insert-many":
+        rows = draw(st.lists(A_ROWS, min_size=1, max_size=3))
+        values = ", ".join(
+            "({})".format(", ".join(literal(v) for v in row)) for row in rows
+        )
+        return piece("INSERT INTO a (id, x, y, s) VALUES " + values) \
+            + (False,)
+    where = draw(optional(A_WHERE, " WHERE {}"))
+    if kind == "delete":
+        return glue(piece("DELETE FROM a"), where) + (False,)
+    if kind == "update-b":
+        value = draw(int_exprs(["id", "aid", "z"], ["id"], divide=False))
+        return glue(splice("UPDATE b SET z = {}", value)) + (False,)
+    assigned = [splice("y = {}", draw(SET_INTS))]
+    if draw(st.booleans()):
+        assigned.append(splice("s = {}", draw(A_TEXTS)))
+    head = splice("UPDATE a SET " + ", ".join(["{}"] * len(assigned)),
+                  *assigned)
+    return glue(head, where) + (False,)
+
+
+DIALECT_STATEMENTS = st.one_of(
+    single_table_selects(), join_selects(), aggregate_selects(),
+    grouped_selects(), distinct_selects(), dml(),
+)
+
+
+def _dialect_pair():
+    ours = Database().connect()
+    theirs = sqlite3.connect(":memory:", isolation_level=None)
+    theirs.execute("PRAGMA case_sensitive_like = ON")
+    for ddl in DIALECT_DDL:
+        ours.execute(ddl)
+        theirs.execute(ddl)
+    for sql, rows in DIALECT_SEED:
+        for params in rows:
+            ours.execute(sql, params)
+            theirs.execute(sql, params)
+    return ours, theirs
+
+
+def _comparable(row):
+    return tuple(round(v, 9) if isinstance(v, float) else v for v in row)
+
+
+def _null_safe(row):
+    return tuple(part for value in row for part in (value is None, value))
+
+
+def _dialect_run(execute, sql, params, ordered, refusal):
+    try:
+        result = execute(sql, params)
+    except refusal:
+        return "refused"
+    rows = [_comparable(row) for row in result]
+    if not ordered:
+        rows.sort(key=_null_safe)
+    if sql.startswith("SELECT"):
+        return rows  # sqlite3 reports rowcount -1 for a SELECT
+    return result.rowcount, rows
+
+
+@given(statements=st.lists(DIALECT_STATEMENTS, min_size=1, max_size=25))
+@settings(FIXED, max_examples=150)
+def test_generated_statements_match_sqlite(statements):
+    ours, theirs = _dialect_pair()
+    try:
+        for mine_sql, their_sql, params, ordered in statements:
+            mine = _dialect_run(ours.execute, mine_sql, params, ordered,
+                                IntegrityError)
+            reference = _dialect_run(theirs.execute, their_sql, params,
+                                     ordered, sqlite3.IntegrityError)
+            assert mine == reference, (mine_sql, params)
+        for table in ("a", "b"):
+            everything = "SELECT * FROM {} ORDER BY id".format(table)
+            assert _dialect_run(ours.execute, everything, (), True, ()) \
+                == _dialect_run(theirs.execute, everything, (), True, ())
     finally:
         theirs.close()
         ours.close()

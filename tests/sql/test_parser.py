@@ -6,6 +6,11 @@ from repro.sql import expressions as ex
 from repro.sql.parser import parse, tokenize
 
 
+def constant(expr):
+    """The value of an expression that reads no column or parameter."""
+    return expr.compile(ex.Scope([]))(None, ())
+
+
 class TestTokenizer:
     def test_keywords_are_case_insensitive(self):
         tokens = tokenize("SeLeCt * FrOm t")
@@ -104,17 +109,15 @@ class TestSelect:
 
     def test_arithmetic_precedence(self):
         stmt = parse("SELECT 1 + 2 * 3 FROM t")
-        expr = stmt.items[0].expr
-        ctx = ex.EvalContext()
-        assert expr.evaluate(ctx) == 7
+        assert constant(stmt.items[0].expr) == 7
 
     def test_parenthesized_expression(self):
         stmt = parse("SELECT (1 + 2) * 3 FROM t")
-        assert stmt.items[0].expr.evaluate(ex.EvalContext()) == 9
+        assert constant(stmt.items[0].expr) == 9
 
     def test_unary_minus(self):
         stmt = parse("SELECT -5 FROM t")
-        assert stmt.items[0].expr.evaluate(ex.EvalContext()) == -5
+        assert constant(stmt.items[0].expr) == -5
 
 
 class TestDML:
