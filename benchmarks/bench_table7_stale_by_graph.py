@@ -84,15 +84,16 @@ def run_persistence_experiment(reads_after=10):
     under each technique, and count how many reads observed the stale
     value.
     """
-    from repro.sim.scripts import figure2_cas_insufficient
+    from repro.mc import figure_outcomes
 
     # Refresh: the stale value persists for every subsequent read (the
     # cached 1050 vs the RDBMS's 1500), and even another refresh write
     # session R-M-Ws the *stale base*, keeping the divergence.
-    outcome = figure2_cas_insufficient(iq=False)
-    refresh_stale_reads = (
-        reads_after if outcome.kvs_value != outcome.rdbms_value else 0
+    outcome = next(
+        row for row in figure_outcomes()
+        if row.figure == "Figure 2" and row.variant == "baseline"
     )
+    refresh_stale_reads = 0 if outcome.consistent else reads_after
 
     # Invalidate: the same race family inserts a stale value (Figure 3),
     # but the next write session to touch the key deletes it, after which

@@ -1,29 +1,30 @@
 """Replay every race condition figure from the paper, deterministically.
 
-Each scenario runs twice under its exact interleaving: first with the
-unleased baseline (Twemcache + Facebook read leases), which exhibits the
-race, then with the IQ framework, which prevents it.
+Each figure is a pair of model-checker scenarios replayed under the
+figure's exact interleaving: first the unleased baseline (Twemcache +
+Facebook read leases), which exhibits the race, then the IQ framework,
+which prevents it.
 
 Run:  python examples/race_conditions.py
 """
 
-from repro.sim import run_all_figures
+from repro.mc import figure_outcomes
 
 
 def main():
-    print("Scenario".ljust(10), "Variant".ljust(21), "RDBMS".ljust(8),
-          "KVS".ljust(8), "Outcome")
-    print("-" * 75)
-    for outcome in run_all_figures():
+    print("Scenario".ljust(10), "Variant".ljust(9), "RDBMS".ljust(14),
+          "KVS".ljust(15), "Outcome")
+    print("-" * 62)
+    for outcome in figure_outcomes():
         status = "consistent" if outcome.consistent else "*** STALE ***"
         print(
             outcome.figure.ljust(10),
-            outcome.variant.ljust(21),
-            repr(outcome.rdbms_value).ljust(8),
-            repr(outcome.kvs_value).ljust(8),
+            outcome.variant.ljust(9),
+            repr(outcome.rdbms).ljust(14),
+            repr(outcome.kvs).ljust(15),
             status,
         )
-        print(" " * 10, "note:", outcome.notes)
+        assert outcome.ok != outcome.expect_violation, outcome
     print()
     print("Every baseline run diverges; every IQ run ends consistent.")
 

@@ -17,8 +17,9 @@ The package implements, from scratch and in pure Python:
 * :mod:`repro.bg` -- the BG social-networking benchmark: graph generation,
   the nine interactive actions, workload mixes, validation of
   unpredictable (stale) reads, and SoAR rating.
-* :mod:`repro.sim` -- a deterministic step scheduler replaying the exact
-  interleavings of the paper's race-condition figures.
+* :mod:`repro.mc` -- a stateless model checker: it replays the exact
+  interleavings of the paper's race-condition figures and explores every
+  other interleaving of the same sessions.
 * :mod:`repro.net` -- a memcached ASCII wire-protocol server and client
   with the IQ lease extensions.
 """

@@ -14,7 +14,10 @@
         sockets close.
 
     python -m repro figures
-        Replay the paper's race-condition figures and print the outcomes.
+        Replay the paper's race-condition figures -- each figure scenario
+        of the model checker under its paper schedule -- and print the
+        final RDBMS/KVS values.  Exits 1 when a baseline stops racing or
+        an IQ scenario stops being clean.
 
     python -m repro bench --experiment table1|table6|table7|table8|
                                        figures|ablations
@@ -124,16 +127,18 @@ def _serve_cluster(args):
 
 
 def _cmd_figures(_args):
-    from repro.sim import run_all_figures
+    from repro.mc import figure_outcomes
 
     failures = 0
-    for outcome in run_all_figures():
-        status = "consistent" if outcome.consistent else "STALE"
-        print("{:<10} {:<21} rdbms={!r:<8} kvs={!r:<8} {}".format(
-            outcome.figure, outcome.variant, outcome.rdbms_value,
-            outcome.kvs_value, status,
+    for row in figure_outcomes():
+        as_expected = row.ok != row.expect_violation
+        print("{:<9} {:<9} rdbms={!r:<14} kvs={!r:<15} {:<10} {}".format(
+            row.figure, row.variant, row.rdbms, row.kvs,
+            "consistent" if row.consistent else "STALE",
+            ("race" if row.expect_violation else "clean")
+            if as_expected else "UNEXPECTED: replay ok={}".format(row.ok),
         ))
-        if outcome.variant.startswith("iq") and not outcome.consistent:
+        if not as_expected:
             failures += 1
     return 1 if failures else 0
 

@@ -34,10 +34,9 @@ state ``scenario.check_final`` plus (``scenario.audit``) a fresh
 execution's trace stream.
 """
 
-from repro.mc.program import MCRun, independent
+from repro.mc.program import MCRun, ProgramCrash, independent
 from repro.obs.audit import IQAuditor
 from repro.obs.trace import get_tracer
-from repro.sim.scheduler import ProgramCrash
 
 __all__ = [
     "ExplorationReport",
@@ -131,7 +130,12 @@ class ReplayResult:
 
 
 class _Execution:
-    """One live execution: world + program runs + listening auditor."""
+    """One live execution: world + program runs + listening auditor.
+
+    A :class:`ProgramCrash` is captured in ``crash``, not raised -- also
+    one raised while a program runs to its first announcement, which
+    crashes the execution at schedule ``()``.
+    """
 
     def __init__(self, scenario):
         self.scenario = scenario
@@ -139,6 +143,9 @@ class _Execution:
         self.auditor = IQAuditor() if scenario.audit else None
         if self.auditor is not None:
             self.auditor.attach(self.tracer)
+        self.executed = []
+        self.steps = []
+        self.crash = None
         try:
             self.world, programs = scenario.build()
             self.runs = {}
@@ -150,11 +157,11 @@ class _Execution:
                     )
                 self.runs[program.name] = MCRun(program, self.world)
                 self.order.append(program.name)
+        except ProgramCrash as crash:
+            self.crash = crash
         except BaseException:
             self.close()
             raise
-        self.executed = []
-        self.steps = []
 
     def close(self):
         if self.auditor is not None:
@@ -166,6 +173,27 @@ class _Execution:
         label = run.step(list(self.executed))
         self.executed.append(name)
         self.steps.append((name, label))
+
+    def run(self, names, check_state=False):
+        """Step each of ``names`` until one crashes.
+
+        ``names`` may be lazy: it is drawn one name per step.  With
+        ``check_state`` the scenario's invariant runs after every step;
+        returns its messages.
+        """
+        messages = []
+        if self.crash is not None:
+            return messages
+        try:
+            for name in names:
+                self.step(name)
+                if check_state:
+                    messages.extend(
+                        self.scenario.check_state(self.world, self.runs)
+                    )
+        except ProgramCrash as crash:
+            self.crash = crash
+        return messages
 
     def alive(self):
         return [n for n in self.order if not self.runs[n].finished]
@@ -200,13 +228,21 @@ def _run_prefix(scenario, prefix):
     caller inspects ``crash``.
     """
     execution = _Execution(scenario)
-    execution.crash = None
-    try:
-        for name in prefix:
-            execution.step(name)
-    except ProgramCrash as crash:
-        execution.crash = crash
+    execution.run(prefix)
     return execution
+
+
+def _scheduled_then_drained(execution, schedule, complete):
+    """The names :func:`replay` steps, decided one step at a time."""
+    for name in schedule:
+        if not execution.runs[name].finished:
+            yield name
+    alive = execution.alive() if complete else []
+    while alive:
+        for name in alive:
+            if not execution.runs[name].finished:
+                yield name
+        alive = execution.alive()
 
 
 def replay(scenario, schedule, complete=True):
@@ -220,44 +256,23 @@ def replay(scenario, schedule, complete=True):
     subsequences executable.
     """
     execution = _Execution(scenario)
-    crash = None
-    violations = []
     try:
-        try:
-            for name in schedule:
-                if execution.runs[name].finished:
-                    continue
-                execution.step(name)
-                invariant = execution.scenario.check_state(
-                    execution.world, execution.runs
-                )
-                if invariant:
-                    violations.extend(invariant)
-            if complete and crash is None:
-                alive = execution.alive()
-                while alive:
-                    for name in alive:
-                        if not execution.runs[name].finished:
-                            execution.step(name)
-                            invariant = execution.scenario.check_state(
-                                execution.world, execution.runs
-                            )
-                            if invariant:
-                                violations.extend(invariant)
-                    alive = execution.alive()
-        except ProgramCrash as caught:
-            crash = caught
-            violations.append("crash: {}".format(caught))
+        violations = execution.run(
+            _scheduled_then_drained(execution, schedule, complete),
+            check_state=True,
+        )
         audit_report = None
-        if crash is None and not execution.alive():
+        if execution.crash is not None:
+            violations.append("crash: {}".format(execution.crash))
+        elif not execution.alive():
             violations.extend(
                 scenario.check_final(execution.world, execution.runs)
             )
             audit_messages, audit_report = execution.audit_messages()
             violations.extend(audit_messages)
         return ReplayResult(
-            schedule, violations, execution.world, execution.runs, crash,
-            execution.steps, audit_report,
+            schedule, violations, execution.world, execution.runs,
+            execution.crash, execution.steps, audit_report,
         )
     finally:
         execution.close()

@@ -14,7 +14,7 @@ Determinism: one ``seed`` fixes the whole campaign -- run ``i`` uses
 
 import random
 
-from repro.mc.explorer import replay
+from repro.mc.explorer import _Execution, replay
 from repro.mc.shrink import emit_script, shrink
 
 __all__ = ["FuzzFailure", "FuzzReport", "fuzz"]
@@ -66,26 +66,20 @@ class FuzzReport:
 
 
 def _random_schedule(scenario, rng, max_steps):
-    """One random complete walk; returns (schedule, replay_result)."""
-    # Build once to learn program names, then drive via replay for the
-    # oracle plumbing.  The walk itself must pick from *unfinished*
-    # programs only, so it executes live: replay() then re-executes the
-    # recorded schedule -- twice the work, one code path for oracles.
-    from repro.mc.explorer import _run_prefix
-
-    execution = _run_prefix(scenario, ())
+    """One random complete walk; returns the schedule it took."""
+    # The walk must pick from *unfinished* programs only, so it executes
+    # live; fuzz() then replays the recorded schedule -- twice the work,
+    # one code path for oracles.
+    execution = _Execution(scenario)
     schedule = []
+
+    def walk():
+        while len(schedule) < max_steps and execution.alive():
+            schedule.append(rng.choice(execution.alive()))
+            yield schedule[-1]
+
     try:
-        while execution.crash is None and len(schedule) < max_steps:
-            alive = execution.alive()
-            if not alive:
-                break
-            name = rng.choice(alive)
-            schedule.append(name)
-            try:
-                execution.step(name)
-            except Exception:
-                break
+        execution.run(walk())
     finally:
         execution.close()
     return schedule

@@ -1,10 +1,7 @@
 """Session programs for the model checker: announce-then-perform steps.
 
-:mod:`repro.sim.scheduler` programs perform an operation and *then*
-yield its label, which is fine for replaying a fixed schedule but
-useless for partial-order reduction: by the time the scheduler learns
-what a step touched, the step has already run.  The model checker
-therefore drives programs written in **announce-then-perform** style::
+The model checker drives programs written in **announce-then-perform**
+style::
 
     def session(world):
         yield Op("w:qar", kvs=[KEY])      # announce the next operation
@@ -17,18 +14,46 @@ operation the code *after* the yield will perform -- its label and the
 shared resources it reads and writes.  At every explored state the
 scheduler thus knows each unfinished program's *pending* operation
 without running it, which is exactly what sleep-set (DPOR-lite) pruning
-needs to decide which interleavings commute.
+needs to decide which interleavings commute.  A program that performed
+first and labelled afterwards would tell the scheduler what a step
+touched only once the step had already run.
 
-An :class:`MCRun` wraps the scheduler's :class:`~repro.sim.scheduler.
-ProgramRun`; advancing it executes the previously announced operation
-and captures the next announcement.  Program exceptions surface as
-:class:`~repro.sim.scheduler.ProgramCrash` with the schedule prefix
-attached, so a crashing schedule is as replayable as a violating one.
+An :class:`MCRun` drives one program's generator: advancing it executes
+the previously announced operation and captures the next announcement.
+Program exceptions surface as :class:`ProgramCrash` with the schedule
+prefix attached, so a crashing schedule is as replayable as a violating
+one.
 """
 
-from repro.sim.scheduler import Program, ProgramCrash, ProgramRun
+from repro.errors import ReproError
 
-__all__ = ["Op", "MCProgram", "MCRun", "independent"]
+__all__ = ["Op", "MCProgram", "MCRun", "ProgramCrash", "independent"]
+
+
+class ProgramCrash(ReproError):
+    """A program raised while performing a scheduled step.
+
+    The bare exception is useless to a shrinker or fuzzer -- by the time
+    it propagates, the interleaving that provoked it is gone.  This
+    wrapper carries the program name, the label of the announced
+    operation that raised (``None`` when the program raised before its
+    first announcement), and the schedule prefix executed before that
+    step, so the failure is replayable: re-running ``schedule_prefix``
+    and advancing ``program`` once more reproduces it deterministically.
+    """
+
+    def __init__(self, program, step_label, schedule_prefix, original):
+        self.program = program
+        self.step_label = step_label
+        self.schedule_prefix = tuple(schedule_prefix)
+        self.original = original
+        super().__init__(
+            "program {!r} crashed after step {!r} under schedule prefix "
+            "{!r}: {}: {}".format(
+                program, step_label, list(self.schedule_prefix),
+                type(original).__name__, original,
+            )
+        )
 
 
 class Op:
@@ -108,41 +133,43 @@ class MCRun:
 
     Construction advances the generator to its first announcement; the
     code before the first ``yield`` must therefore be free of shared
-    side effects (bind locals, nothing more).
+    side effects (bind locals, nothing more).  A program that raises
+    there crashes at schedule prefix ``()``.
     """
 
     def __init__(self, mc_program, world):
         self.name = mc_program.name
         self.trace_id = world.new_trace_id(self.name)
-        self._world = world
-        self._run = ProgramRun(Program(
-            self.name, lambda: mc_program.factory(world)
-        ))
+        self._generator = mc_program.factory(world)
+        self.finished = False
+        #: the generator's return value once it finished
+        self.result = None
         #: labels of every executed (performed) operation, in order
         self.history = []
-        self.pending = self._advance_locked([])
+        self.pending = None
+        self.pending = self._advance([])
 
-    @property
-    def finished(self):
-        return self._run.finished
+    def _advance(self, executed_prefix):
+        """Run the generator to its next announcement (or completion).
 
-    @property
-    def result(self):
-        return self._run.result
-
-    def _advance_locked(self, executed_prefix):
+        A program exception marks the run finished -- its generator is
+        dead -- and is re-raised as :class:`ProgramCrash`.
+        """
         from repro.obs.trace import trace_context
 
         try:
             with trace_context(self.trace_id):
-                label = self._run.advance()
+                label = next(self._generator)
+        except StopIteration as stop:
+            self.finished = True
+            self.result = stop.value
+            return None
         except Exception as exc:
+            self.finished = True
             raise ProgramCrash(
                 self.name, self.pending.label if self.pending else None,
                 executed_prefix, exc,
             ) from exc
-        if label is None:
-            return None
         if not isinstance(label, Op):
             raise TypeError(
                 "mc program {!r} must yield Op announcements, got {!r}"
@@ -162,6 +189,6 @@ class MCRun:
                 RuntimeError("stepping a finished program"),
             )
         performed = self.pending
-        self.pending = self._advance_locked(executed_prefix)
+        self.pending = self._advance(executed_prefix)
         self.history.append(performed.label)
         return performed.label

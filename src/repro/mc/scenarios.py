@@ -16,14 +16,18 @@ A :class:`Scenario` bundles a world factory with its oracles:
 
 The catalogue covers the six figure races (each as an unleased-baseline
 scenario the checker must find violations in, and an IQ scenario it must
-prove clean over the same bounded space), 3-session technique mixes,
-2-shard configurations, fault-delivery scenarios, and the PR 2
-regression semantics (post-commit journaling, ``poison`` partial-
-proposal abort) -- each of those paired with its rejected "buggy"
+prove clean over the same bounded space; both carry the figure's paper
+``schedule``, which :func:`figure_outcomes` replays), 3-session
+technique mixes, 2-shard configurations, fault-delivery scenarios, and
+the PR 2 regression semantics (post-commit journaling, ``poison``
+partial-proposal abort) -- each of those paired with its rejected "buggy"
 variant so the suite demonstrates the checker *would have caught* the
 original bug.
 """
 
+from collections import namedtuple
+
+from repro.mc.explorer import replay
 from repro.mc.sessions import (
     baseline_cas_writer,
     coalesced_iq_reader,
@@ -60,6 +64,8 @@ __all__ = [
     "scenario_names",
     "SCENARIOS",
     "FIGURE_PAIRS",
+    "FigureOutcome",
+    "figure_outcomes",
 ]
 
 
@@ -188,7 +194,7 @@ class Scenario:
     def __init__(self, name, build, description="", check_state=None,
                  check_final=None, allow_journaled_stale=False,
                  expect_violation=False, audit=True, tags=(),
-                 technique="invalidate"):
+                 technique="invalidate", schedule=""):
         self.name = name
         self._build = build
         self.description = description
@@ -203,6 +209,10 @@ class Scenario:
         self.tags = tuple(tags)
         #: the consistency technique under test (``repro mc --list``)
         self.technique = technique
+        #: a figure scenario's paper interleaving, one program name per
+        #: announced step (:func:`figure_outcomes`); empty elsewhere.
+        #: Passed as a space-separated string.
+        self.schedule = tuple(schedule.split())
 
     def build(self):
         """Fresh ``(world, [MCProgram])`` for one execution."""
@@ -860,30 +870,35 @@ _register(Scenario(
     technique="refresh",
     description="Figure 2: R-M-W with gets/cas; KVS order can diverge "
                 "from RDBMS serialization order",
+    schedule="S1 S1 S2 S2 S2 S2 S1 S1",
     tags=("figure", "baseline"),
 ))
 _register(Scenario(
     "fig2-iq", _fig2_iq, technique="refresh",
     description="Figure 2 under IQ refresh: QaRead/SaR serialize the "
                 "two writers",
+    schedule="S1 S2 S1 S1 S1 S2 S2 S2 S2",
     tags=("figure", "iq"),
 ))
 _register(Scenario(
     "fig3-baseline", _fig3_baseline, expect_violation=True,
     description="Figure 3: trigger invalidate + snapshot read; a read "
                 "lease granted after the delete fills a stale snapshot",
+    schedule="S1 S1 S2 S2 S1 S2",
     tags=("figure", "baseline"),
 ))
 _register(Scenario(
     "fig3-iq", _fig3_iq,
     description="Figure 3 under IQ invalidate (eager delete): readers "
                 "back off against the Q lease",
+    schedule="S1 S1 S2 S1 S1 S2 S2 S2",
     tags=("figure", "iq"),
 ))
 _register(Scenario(
     "fig4-baseline", _fig4_baseline, expect_violation=True,
     description="Figure 4's window, unleased: a filler installs the "
                 "pre-commit value mid-invalidation and it survives",
+    schedule="S1 S1 R1 R1 R1 S1 R2",
     tags=("figure", "baseline"),
 ))
 _register(Scenario(
@@ -891,18 +906,21 @@ _register(Scenario(
     description="Figure 4: the deferred-delete rearrangement window "
                 "serves pending versions yet never leaks a stale final "
                 "state",
+    schedule="S1 S1 R1 R2 S1 S1",
     tags=("figure", "iq"),
 ))
 _register(Scenario(
     "fig6-baseline", _fig6_baseline, expect_violation=True,
     technique="refresh",
     description="Figure 6: pre-commit refresh + RDBMS abort = dirty read",
+    schedule="S1 S1 S2",
     tags=("figure", "baseline"),
 ))
 _register(Scenario(
     "fig6-iq", _fig6_iq, technique="refresh",
     description="Figure 6 under IQ: Abort(TID) releases the Q lease "
                 "without installing the uncommitted value",
+    schedule="S1 S1 S2",
     tags=("figure", "iq"),
 ))
 _register(Scenario(
@@ -910,12 +928,14 @@ _register(Scenario(
     technique="delta",
     description="Figure 7: unleased delta lost on a miss, then "
                 "overwritten by a stale fill",
+    schedule="S2 S2 S1 S1 S1 S2",
     tags=("figure", "baseline"),
 ))
 _register(Scenario(
     "fig7-iq", _fig7_iq, technique="delta",
     description="Figure 7 under IQ-delta: the Q lease voids the "
                 "doomed fill's I lease",
+    schedule="S2 S2 S1 S1 S1 S1 S2",
     tags=("figure", "iq"),
 ))
 _register(Scenario(
@@ -923,12 +943,14 @@ _register(Scenario(
     technique="delta",
     description="Figure 8: post-commit unleased delta applied on top of "
                 "a fresh fill that already contains it",
+    schedule="S1 S1 S2 S2 S2 S1",
     tags=("figure", "baseline"),
 ))
 _register(Scenario(
     "fig8-iq", _fig8_iq, technique="delta",
     description="Figure 8 under IQ-delta: commit applies the delta "
                 "exactly once",
+    schedule="S1 S1 S2 S1 S1 S2 S2 S2",
     tags=("figure", "iq"),
 ))
 
@@ -1147,6 +1169,39 @@ FIGURE_PAIRS = (
     ("fig7-baseline", "fig7-iq"),
     ("fig8-baseline", "fig8-iq"),
 )
+
+
+#: One row of :func:`figure_outcomes`: the final committed rows and
+#: cached values (``None`` for an absent key), whether every cached value
+#: agrees with its row, the replay verdict, and whether the scenario
+#: expects a violation (``ok`` must be its negation).
+FigureOutcome = namedtuple(
+    "FigureOutcome", "figure variant rdbms kvs consistent ok expect_violation"
+)
+
+
+def figure_outcomes():
+    """Replay each :data:`FIGURE_PAIRS` scenario under its paper schedule.
+
+    Returns one :class:`FigureOutcome` per scenario, baseline before IQ.
+    Cached values come back decoded as ``str``, so they are compared
+    with the committed rows as strings, as :func:`default_final_checks`
+    does.
+    """
+    rows = []
+    for name in (name for pair in FIGURE_PAIRS for name in pair):
+        scenario = SCENARIOS[name]
+        result = replay(scenario, scenario.schedule, complete=True)
+        rdbms = result.world.sql_contents()
+        kvs = result.world.kvs_contents()
+        figure, variant = name.split("-")
+        rows.append(FigureOutcome(
+            "Figure " + figure[len("fig"):], variant, rdbms, kvs,
+            all(kvs[key] is None or str(kvs[key]) == str(rdbms[key])
+                for key in rdbms),
+            result.ok, scenario.expect_violation,
+        ))
+    return rows
 
 
 def get_scenario(name):

@@ -3,18 +3,17 @@
 Each builder returns an :class:`~repro.mc.program.MCProgram` whose
 generator mirrors one of the paper's session shapes -- read-and-fill,
 refresh (R-M-W), invalidate (trigger-style), incremental update (delta)
--- against either the unleased baseline store or an IQ backend.  The
-builders differ from the scripted figures of :mod:`repro.sim.scripts` in
-three ways:
+-- against either the unleased baseline store or an IQ backend.  Three
+properties hold for every builder:
 
 * every shared-state operation is *announced* (an :class:`Op` with its
   resource footprint) before it runs, so the explorer can reason about
   commutativity;
-* conflict outcomes the scripts never reach -- ``QuarantinedError`` from
-  a competing Q lease, :class:`TransactionAbortedError` from the RDBMS's
-  first-updater-wins rule, ``CacheUnavailableError`` from a gated shard
-  -- are handled with *bounded* retries so every program terminates in
-  every interleaving;
+* conflict outcomes the paper's figure schedules never reach --
+  ``QuarantinedError`` from a competing Q lease,
+  :class:`TransactionAbortedError` from the RDBMS's first-updater-wins
+  rule, ``CacheUnavailableError`` from a gated shard -- are handled with
+  *bounded* retries so every program terminates in every interleaving;
 * observations and commits are reported to the :class:`~repro.mc.world.
   World` (``observe`` / ``record_commit`` / ``bind_tid``) for the
   oracles and fingerprints, and write sessions emit ``session.begin`` /

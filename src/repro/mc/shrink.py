@@ -13,8 +13,8 @@ the schedule runs out are drained round-robin in program order, see
 :func:`repro.mc.explorer.replay`), so every subsequence denotes a full,
 deterministic execution.  The minimal schedule is therefore read as:
 "force exactly these steps in this order; let everything else run to
-completion" -- which is exactly the shape of the hand-written
-``repro.sim`` figure scripts, and :func:`emit_script` renders it as one.
+completion" -- which is exactly the shape of a figure scenario's paper
+``schedule``, and :func:`emit_script` renders it as a script.
 """
 
 from repro.mc.explorer import replay
@@ -106,11 +106,11 @@ def shrink(scenario, schedule):
 
 
 def emit_script(result):
-    """Render a :class:`ShrinkResult` as a replayable repro.sim-style script.
+    """Render a :class:`ShrinkResult` as a replayable script.
 
     The output is an executable Python snippet plus a step-by-step
     comment timeline (program -> announced step label), mirroring the
-    numbered interleavings of ``repro.sim.scripts``.
+    paper's numbered figure interleavings.
     """
     lines = [
         "# Minimal violating schedule for scenario {!r}".format(

@@ -1,10 +1,11 @@
 """The checker must *rediscover* the paper's six figure races.
 
-The scripted reproductions in ``repro.sim.scripts`` encode the exact
-interleaving of each figure by hand.  Here the model checker gets only
-the session programs -- no schedule -- and must find each race on its
-own, then prove the IQ counterpart clean over the same bounded space,
-and shrink every baseline violation to a minimal replayable script.
+Each figure scenario carries the paper's exact interleaving as its
+``schedule`` (``tests/mc/test_figures.py`` replays it).  Here the model
+checker ignores that schedule -- it gets only the session programs --
+and must find each race on its own, then prove the IQ counterpart clean
+over the same bounded space, and shrink every baseline violation to a
+minimal replayable script.
 """
 
 import pytest

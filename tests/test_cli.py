@@ -69,6 +69,16 @@ class TestCommands:
         assert "STALE" in output        # baselines race
         assert "consistent" in output   # IQ holds
 
+    def test_figures_command_fails_when_a_baseline_stops_racing(
+            self, monkeypatch, capsys):
+        from repro.mc import get_scenario
+
+        # The reader runs to completion before the writer starts: benign.
+        monkeypatch.setattr(get_scenario("fig3-baseline"), "schedule",
+                            ("S2",))
+        assert main(["figures"]) == 1
+        assert "UNEXPECTED" in capsys.readouterr().out
+
     def test_demo_command_runs(self, capsys):
         assert main(
             ["demo", "--threads", "2", "--ops", "10", "--members", "40"]
