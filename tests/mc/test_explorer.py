@@ -9,23 +9,7 @@ actually did work.
 
 import pytest
 
-from repro.core.iq_client import IQClient
-from repro.errors import ReproError
-from repro.mc import (
-    MCProgram,
-    MCViolation,
-    Op,
-    ProgramCrash,
-    Scenario,
-    World,
-    explore,
-    fuzz,
-    get_scenario,
-    independent,
-    replay,
-)
-from repro.mc.sessions import iq_refresh_writer
-from repro.util.backoff import NoBackoff
+from repro.mc import MCViolation, Op, explore, get_scenario, independent, replay
 
 pytestmark = pytest.mark.mc
 
@@ -95,128 +79,6 @@ class TestReplay:
             complete=True,
         )
         assert result.crash is None
-
-
-def _counting(name, steps, crash=False):
-    """``steps`` local steps, then return -- or raise, with ``crash``."""
-
-    def factory(world):
-        for index in range(steps):
-            yield Op("{}-step{}".format(name, index), local=True)
-        if crash:
-            raise RuntimeError("boom in {}".format(name))
-        return "{}-done".format(name)
-
-    return MCProgram(name, factory)
-
-
-def _scenario(*programs):
-    def build():
-        world = World(keys=("k0",), backend="iq")
-        world.seed("k0", 0)
-        return world, list(programs)
-
-    return Scenario("stepping", build)
-
-
-class TestStepping:
-    def test_schedule_order_then_round_robin_drain(self):
-        result = replay(
-            _scenario(_counting("A", 3), _counting("B", 2)), ["B", "A"],
-        )
-        assert result.ok
-        assert [label for _name, label in result.steps] == [
-            "B-step0", "A-step0", "A-step1", "B-step1", "A-step2",
-        ]
-        assert result.runs["A"].history == ["A-step0", "A-step1", "A-step2"]
-        assert result.runs["A"].result == "A-done"
-        assert all(run.finished for run in result.runs.values())
-
-    def test_malformed_scenarios_are_rejected(self):
-        with pytest.raises(ValueError):
-            replay(_scenario(_counting("A", 1), _counting("A", 1)), [])
-        with pytest.raises(KeyError):
-            replay(_scenario(_counting("A", 1)), ["ghost"])
-
-
-class TestProgramCrash:
-    def test_crash_carries_schedule_context(self):
-        result = replay(
-            _scenario(_counting("A", 3), _counting("B", 2, crash=True)),
-            ["A", "B", "A", "B"],
-        )
-        crash = result.crash
-        assert isinstance(crash, ProgramCrash)
-        assert isinstance(crash, ReproError)
-        assert crash.program == "B"
-        assert crash.step_label == "B-step1"
-        assert crash.schedule_prefix == ("A", "B", "A")
-        assert isinstance(crash.original, RuntimeError)
-        assert crash.__cause__ is crash.original
-        assert result.runs["B"].finished
-        assert result.violations == ["crash: {}".format(crash)]
-        message = str(crash)
-        assert "'B'" in message and "RuntimeError: boom in B" in message
-
-    def test_crash_during_drain_includes_scheduled_prefix(self):
-        result = replay(_scenario(_counting("B", 2, crash=True)), ["B"])
-        assert result.crash.step_label == "B-step1"
-        assert result.crash.schedule_prefix == ("B",)
-
-    def test_explore_records_the_crashing_schedule(self):
-        report = explore(
-            _scenario(_counting("A", 1), _counting("B", 1, crash=True))
-        )
-        assert report.violation_count > 0
-        assert {v.kind for v in report.violations} == {"crash"}
-        assert all(v.schedule[-1] == "B" for v in report.violations)
-
-    def test_crash_before_the_first_yield_is_recorded(self):
-        scenario = _scenario(_counting("A", 1), _counting("X", 0, crash=True))
-        result = replay(scenario, [])
-        assert result.crash.program == "X"
-        assert result.crash.step_label is None
-        assert result.crash.schedule_prefix == ()
-        assert isinstance(result.crash.__cause__, RuntimeError)
-        assert not result.ok
-        report = explore(scenario)
-        assert report.violation_count == 1
-        violation = report.violations[0]
-        assert (violation.kind, violation.schedule) == ("crash", ())
-        assert "boom in X" in violation.messages[0]
-        failure = fuzz(scenario, runs=1).failures[0]
-        assert failure.schedule == () and failure.shrunk.schedule == ()
-        assert "boom in X" in failure.violations[0]
-
-
-def _read_through_reader(name, key):
-    """One step: a whole :meth:`IQClient.read_through` call."""
-
-    def factory(world):
-        yield Op("{}:read-through".format(name), kvs=[key], sql=True)
-        client = IQClient(world.backend, backoff=NoBackoff(max_attempts=200))
-        value = client.read_through(
-            key, lambda: str(world.query_committed(key)).encode()
-        )
-        world.observe(name, "cache", key, value)
-
-    return MCProgram(name, factory)
-
-
-class TestClientReadThrough:
-    def test_read_through_against_a_refresh_writer_is_clean(self):
-        def build():
-            world = World(keys=("k0",), backend="iq")
-            world.seed("k0", 100)
-            return world, [
-                iq_refresh_writer("W", "k0", "val * 2",
-                                  lambda old: int(old) * 2, attempts=2),
-                _read_through_reader("R", "k0"),
-            ]
-
-        report = explore(Scenario("read-through", build))
-        assert report.ok, [v.messages for v in report.violations]
-        assert report.schedules_explored > 1
 
 
 class TestIndependence:

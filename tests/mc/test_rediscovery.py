@@ -1,7 +1,7 @@
 """The checker must *rediscover* the paper's six figure races.
 
 Each figure scenario carries the paper's exact interleaving as its
-``schedule`` (``tests/mc/test_figures.py`` replays it).  Here the model
+``schedule`` (``tests/sim/test_figures.py`` replays it).  Here the model
 checker ignores that schedule -- it gets only the session programs --
 and must find each race on its own, then prove the IQ counterpart clean
 over the same bounded space, and shrink every baseline violation to a

@@ -1,173 +1,78 @@
 """Exhaustive interleaving check: IQ admits *no* stale outcome.
 
-For a read session racing one write session, we enumerate every
-interleaving of their steps (the schedule prefix; stragglers drain in
-supply order) and assert:
+For a read session racing one invalidating write session,
+:func:`repro.mc.explore` runs every interleaving of their steps and
+asserts:
 
-* with the IQ framework, the post-quiescence KVS state agrees with the
-  RDBMS in every single interleaving;
-* with the unleased baseline, at least one interleaving produces a stale
-  KVS value -- i.e. the race is real and our harness can see it.
+* with the IQ framework -- deferred delete (Section 3.3) on or off --
+  the writer commits and the terminal KVS state agrees with the RDBMS
+  in every single interleaving;
+* with the unleased baseline, at least one interleaving leaves a stale
+  KVS value and at least one does not -- the race is real, and the
+  harness tells it apart from the benign orders.
 
 This is the strongest qualitative statement of the paper ("reduces the
 amount of stale data to zero") made mechanically checkable at small scale.
 """
 
-from repro.config import LeaseConfig
-from repro.core.iq_server import IQServer
-from repro.kvs.read_lease import ReadLeaseStore
-from repro.sim.scheduler import Interleaver, Program, all_interleavings
-from repro.sql.engine import Database
-from repro.util.clock import LogicalClock
-
-KEY = "item1"
-WRITER_STEPS = 5
-READER_STEPS = 6
+from repro.mc import Scenario, World, default_final_checks, explore
+from repro.mc.sessions import (
+    baseline_reader,
+    baseline_trigger_invalidator,
+    iq_invalidate_writer,
+    iq_reader,
+)
 
 
-def fresh_db():
-    db = Database()
-    connection = db.connect()
-    connection.execute("CREATE TABLE items (id INTEGER PRIMARY KEY, val INTEGER)")
-    connection.execute("INSERT INTO items (id, val) VALUES (1, 0)")
-    connection.close()
-    return db
+def writer_committed(world, runs):
+    messages = default_final_checks(world, runs)
+    if world.sql_contents() != {"k0": 1}:
+        messages.append("writer did not commit: {}".format(
+            world.sql_contents()
+        ))
+    return messages
 
 
-def db_value(db):
-    connection = db.connect()
-    try:
-        return connection.query_scalar("SELECT val FROM items WHERE id = 1")
-    finally:
-        connection.close()
+def reader_vs_invalidator(backend, serve_pending=True):
+    def build():
+        world = World(keys=("k0",), backend=backend,
+                      serve_pending=serve_pending)
+        world.seed("k0", 0)
+        if backend == "iq":
+            programs = [iq_invalidate_writer("W", {"k0": "1"}, attempts=2),
+                        iq_reader("R", "k0", attempts=4)]
+        else:
+            programs = [baseline_trigger_invalidator("W", {"k0": "1"}),
+                        baseline_reader("R", "k0", attempts=2)]
+        return world, programs
+
+    return Scenario("reader-vs-invalidator", build,
+                    check_final=writer_committed)
 
 
-def run_iq_once(schedule, serve_pending):
-    db = fresh_db()
-    server = IQServer(
-        lease_config=LeaseConfig(serve_pending_versions=serve_pending),
-        clock=LogicalClock(),
-    )
-    server.store.set(KEY, b"0")
-
-    def writer():
-        tid = server.gen_id()
-        connection = db.connect()
-        connection.begin()
-        yield "w:begin"
-        connection.execute("UPDATE items SET val = 1 WHERE id = 1")
-        yield "w:update"
-        server.qar(tid, KEY)
-        yield "w:qar"
-        connection.commit()
-        connection.close()
-        yield "w:commit"
-        server.dar(tid)
-        yield "w:dar"
-
-    def reader():
-        for _ in range(30):
-            result = server.iq_get(KEY)
-            if result.is_hit:
-                return int(result.value)
-            if result.backoff:
-                yield "r:backoff"
-                continue
-            yield "r:lease"
-            connection = db.connect()
-            value = connection.query_scalar(
-                "SELECT val FROM items WHERE id = 1"
-            )
-            connection.close()
-            yield "r:query"
-            server.iq_set(KEY, str(value).encode(), result.token)
-            yield "r:set"
-            return value
-        raise AssertionError("reader failed to converge")
-
-    interleaver = Interleaver([Program("W", writer), Program("R", reader)])
-    interleaver.run(schedule, finish_remaining=True, strict=False)
-
-    final_db = db_value(db)
-    cached = server.store.get(KEY)
-    return final_db, None if cached is None else int(cached[0])
-
-
-def run_baseline_once(schedule):
-    db = fresh_db()
-    store = ReadLeaseStore(clock=LogicalClock())
-    store.set(KEY, b"0")
-
-    def writer():
-        connection = db.connect()
-        connection.begin()
-        yield "w:begin"
-        connection.execute("UPDATE items SET val = 1 WHERE id = 1")
-        yield "w:update"
-        store.delete(KEY)  # trigger invalidation inside the transaction
-        yield "w:delete"
-        connection.commit()
-        connection.close()
-        yield "w:commit"
-        yield "w:idle"
-
-    def reader():
-        for _ in range(30):
-            result = store.lease_get(KEY)
-            if result.is_hit:
-                return int(result.value)
-            if not result.has_lease:
-                yield "r:backoff"
-                continue
-            yield "r:lease"
-            connection = db.connect()
-            value = connection.query_scalar(
-                "SELECT val FROM items WHERE id = 1"
-            )
-            connection.close()
-            yield "r:query"
-            store.lease_set(KEY, str(value).encode(), result.token)
-            yield "r:set"
-            return value
-        return None
-
-    interleaver = Interleaver([Program("W", writer), Program("R", reader)])
-    interleaver.run(schedule, finish_remaining=True, strict=False)
-    cached = store.get(KEY)
-    return db_value(db), None if cached is None else int(cached[0])
-
-
-def schedules():
-    return all_interleavings({"W": WRITER_STEPS, "R": READER_STEPS})
+def assert_clean(report):
+    assert report.ok, [
+        (list(v.schedule), v.messages) for v in report.violations
+    ]
+    assert report.schedules_explored > 1
 
 
 class TestExhaustive:
     def test_iq_no_interleaving_leaves_stale_data(self):
-        checked = 0
-        for schedule in schedules():
-            final_db, cached = run_iq_once(schedule, serve_pending=True)
-            assert final_db == 1
-            assert cached in (None, 1), (
-                "stale value {} under schedule {}".format(cached, schedule)
-            )
-            checked += 1
-        assert checked > 100
+        assert_clean(explore(reader_vs_invalidator("iq", serve_pending=True)))
 
     def test_iq_no_stale_data_with_eager_delete(self):
-        for schedule in schedules():
-            final_db, cached = run_iq_once(schedule, serve_pending=False)
-            assert final_db == 1
-            assert cached in (None, 1), (
-                "stale value {} under schedule {}".format(cached, schedule)
-            )
+        assert_clean(explore(reader_vs_invalidator("iq", serve_pending=False)))
 
     def test_baseline_has_at_least_one_stale_interleaving(self):
-        stale = 0
-        total = 0
-        for schedule in schedules():
-            final_db, cached = run_baseline_once(schedule)
-            total += 1
-            if cached is not None and cached != final_db:
-                stale += 1
-        assert stale > 0, "the baseline race never materialized"
-        assert stale < total, "some interleavings must be benign"
+        report = explore(reader_vs_invalidator("baseline"))
+        assert not report.truncated
+        assert report.violation_count > 0, (
+            "the baseline race never materialized"
+        )
+        assert report.violation_count < report.schedules_explored, (
+            "some interleavings must be benign"
+        )
+        for violation in report.violations:
+            assert violation.kind == "final"
+            assert all(m.startswith("stale-final") for m in violation.messages)

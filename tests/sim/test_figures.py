@@ -1,119 +1,113 @@
-"""The paper's figures, replayed deterministically.
+"""The paper's race figures, replayed under their fixed schedules.
 
-Each baseline run must exhibit the race (stale/divergent KVS); each IQ run
-must end consistent.  These are the qualitative claims of Sections 2-4.
+Every figure scenario carries the figure's interleaving as its
+``schedule``, one program name per announced step, and
+:func:`repro.mc.figure_outcomes` replays each.  A baseline must end with
+the figure's stale value and a violating verdict, its IQ counterpart
+consistent and clean.  Cached values come back decoded as ``str``, and
+``None`` is an absent key.
 """
 
 import pytest
 
-from repro.sim import (
-    figure2_cas_insufficient,
-    figure3_snapshot_invalidate,
-    figure4_rearrangement_window,
-    figure6_dirty_read_refresh,
-    figure7_stale_overwrite_delta,
-    figure8_double_delta,
-    run_all_figures,
-)
+from repro.mc import FIGURE_PAIRS, SCENARIOS, figure_outcomes, replay
+
+NAMES = [name for pair in FIGURE_PAIRS for name in pair]
+
+
+@pytest.fixture(scope="module")
+def outcomes():
+    return dict(zip(NAMES, figure_outcomes()))
+
+
+def assert_replays_to(outcomes, name, rdbms, kvs):
+    """``name`` ends with ``rdbms`` committed and ``kvs`` cached for k0;
+    a baseline inconsistent and violating, an IQ row neither."""
+    row = outcomes[name]
+    figure, variant = name.split("-")
+    assert (row.figure, row.variant) == ("Figure " + figure[3:], variant)
+    assert (row.rdbms, row.kvs) == ({"k0": rdbms}, {"k0": kvs})
+    ok = variant == "iq"
+    assert row.ok == row.consistent == ok
+    assert row.expect_violation == (not ok)
+
+
+def replay_paper_schedule(name):
+    scenario = SCENARIOS[name]
+    return replay(scenario, scenario.schedule)
 
 
 class TestFigure2:
-    def test_baseline_cas_diverges_exactly_as_paper(self):
-        outcome = figure2_cas_insufficient(iq=False)
-        assert outcome.rdbms_value == 1500  # (100 + 50) * 10
-        assert outcome.kvs_value == 1050    # (100 * 10) + 50
-        assert not outcome.consistent
+    def test_baseline_cas_diverges_exactly_as_paper(self, outcomes):
+        # (100 + 50) * 10 committed, (100 * 10) + 50 cached
+        assert_replays_to(outcomes, "fig2-baseline", 1500, "1050")
 
-    def test_iq_refresh_converges(self):
-        outcome = figure2_cas_insufficient(iq=True)
-        assert outcome.rdbms_value == 1500
-        assert outcome.kvs_value == 1500
-        assert outcome.consistent
+    def test_iq_refresh_converges(self, outcomes):
+        assert_replays_to(outcomes, "fig2-iq", 1500, "1500")
 
 
 class TestFigure3:
-    def test_baseline_inserts_stale_value(self):
-        outcome = figure3_snapshot_invalidate(iq=False)
-        assert outcome.rdbms_value == 1
-        assert outcome.kvs_value == 0  # the stale snapshot value
-        assert not outcome.consistent
+    def test_baseline_inserts_stale_value(self, outcomes):
+        # the reader's pre-commit snapshot lands after the trigger's delete
+        assert_replays_to(outcomes, "fig3-baseline", 1, "0")
 
-    def test_iq_backoff_prevents_stale_insert(self):
-        outcome = figure3_snapshot_invalidate(iq=True)
-        assert outcome.rdbms_value == 1
-        assert outcome.kvs_value == 1
-        assert outcome.consistent
-        assert "backed off" in outcome.notes
+    def test_iq_backoff_prevents_stale_insert(self, outcomes):
+        assert_replays_to(outcomes, "fig3-iq", 1, "1")
+        reader = replay_paper_schedule("fig3-iq").runs["S2"]
+        assert reader.history == [
+            "S2:get", "S2:get", "S2:fill-query", "S2:fill-set",
+        ]  # backed off once against the writer's Q lease
 
 
 class TestFigure4:
-    def test_rearrangement_window_serves_old_version(self):
-        outcome = figure4_rearrangement_window()
-        assert outcome.consistent
-        assert "window reads=[0, 0, 0]" in outcome.notes
-        assert "writer-own-read miss=True" in outcome.notes
+    def test_rearrangement_window_serves_old_version(self, outcomes):
+        # window reads serve the pending 0; DaR deletes it afterwards
+        assert_replays_to(outcomes, "fig4-iq", 1, None)
+        world = replay_paper_schedule("fig4-iq").world
+        assert world.cache_reads() == [("R1", "k0", "0"), ("R2", "k0", "0")]
+
+    def test_baseline_filler_installs_pre_commit_value(self, outcomes):
+        assert_replays_to(outcomes, "fig4-baseline", 1, "0")
 
 
 class TestFigure6:
-    def test_baseline_dirty_read(self):
-        outcome = figure6_dirty_read_refresh(iq=False)
-        assert outcome.rdbms_value == 0  # writer aborted
-        assert outcome.kvs_value == 1    # dirty value stuck in the KVS
-        assert not outcome.consistent
-        assert "dirty value [1]" in outcome.notes
+    def test_baseline_dirty_read(self, outcomes):
+        # the aborted refresh's value stays cached and is served
+        assert_replays_to(outcomes, "fig6-baseline", 0, "1")
+        violations = replay_paper_schedule("fig6-baseline").violations
+        assert any(v.startswith("dirty-read: S2") for v in violations)
 
-    def test_iq_abort_leaves_old_value(self):
-        outcome = figure6_dirty_read_refresh(iq=True)
-        assert outcome.rdbms_value == 0
-        assert outcome.kvs_value == 0
-        assert outcome.consistent
+    def test_iq_abort_leaves_old_value(self, outcomes):
+        assert_replays_to(outcomes, "fig6-iq", 0, "0")
 
 
 class TestFigure7:
-    def test_baseline_stale_overwrite(self):
-        outcome = figure7_stale_overwrite_delta(iq=False)
-        assert outcome.rdbms_value == "xd"
-        assert outcome.kvs_value == "x"  # missing the delta
-        assert not outcome.consistent
+    def test_baseline_stale_overwrite(self, outcomes):
+        # the delta is lost on a miss, then the stale fill lands
+        assert_replays_to(outcomes, "fig7-baseline", "xd", "x")
 
-    def test_iq_voids_readers_lease(self):
-        outcome = figure7_stale_overwrite_delta(iq=True)
-        assert outcome.rdbms_value == "xd"
-        assert outcome.kvs_value is None  # next reader recomputes
-        assert outcome.consistent
+    def test_iq_voids_readers_lease(self, outcomes):
+        # the Q lease voids the doomed fill's I lease
+        assert_replays_to(outcomes, "fig7-iq", "xd", None)
 
 
 class TestFigure8:
-    def test_baseline_double_append(self):
-        outcome = figure8_double_delta(iq=False)
-        assert outcome.rdbms_value == "xd"
-        assert outcome.kvs_value == "xdd"  # the delta applied twice
-        assert not outcome.consistent
+    def test_baseline_double_append(self, outcomes):
+        # the post-commit delta applies on top of a fill that has it
+        assert_replays_to(outcomes, "fig8-baseline", "xd", "xdd")
 
-    def test_iq_backoff_until_commit(self):
-        outcome = figure8_double_delta(iq=True)
-        assert outcome.rdbms_value == "xd"
-        assert outcome.kvs_value == "xd"
-        assert outcome.consistent
+    def test_iq_backoff_until_commit(self, outcomes):
+        assert_replays_to(outcomes, "fig8-iq", "xd", "xd")
 
 
 class TestRunAll:
-    def test_every_baseline_races_every_iq_holds(self):
-        outcomes = run_all_figures()
-        assert len(outcomes) == 11
-        for outcome in outcomes:
-            if outcome.variant.startswith("baseline"):
-                assert not outcome.consistent, outcome
-            else:
-                assert outcome.consistent, outcome
+    def test_every_baseline_races_every_iq_holds(self, outcomes):
+        assert len(outcomes) == 12
+        for name, row in outcomes.items():
+            assert row.consistent == row.ok == (row.variant == "iq"), name
 
-    def test_outcomes_are_reproducible(self):
-        first = [
-            (o.figure, o.variant, o.rdbms_value, o.kvs_value)
-            for o in run_all_figures()
-        ]
-        second = [
-            (o.figure, o.variant, o.rdbms_value, o.kvs_value)
-            for o in run_all_figures()
-        ]
-        assert first == second
+    def test_outcomes_are_reproducible(self, outcomes):
+        assert sorted(
+            name for name, scenario in SCENARIOS.items() if scenario.schedule
+        ) == sorted(NAMES)
+        assert figure_outcomes() == list(outcomes.values())

@@ -1,192 +1,82 @@
-"""Hypothesis-driven schedule exploration.
+"""Random and client-level schedules never leave stale data.
 
-The exhaustive test covers every interleaving of one reader and one
-writer; here hypothesis samples random schedules of *three* sessions --
-two writers (one invalidate, one refresh, contending for overlapping
-keys) and one reader -- and asserts the IQ framework never leaves stale
-data.  The writer pair also exercises the Q-Q reject path (Figure 5b)
-inside arbitrary schedules.
+Hypothesis samples schedules of *three* sessions -- an invalidate writer
+and a refresh writer contending for one key, and a reader (the
+``mix3-inv-refresh-read`` scenario) -- and :func:`repro.mc.replay` runs
+each to completion: the IQ framework must never leave stale data, and
+the RDBMS must hold exactly the writes whose sessions committed.  The
+writer pair also exercises the Q-Q reject path (Figure 5b) inside
+arbitrary schedules.
+
+The reader may also hide its token management behind
+:meth:`IQClient.read_through`; a whole call is then one step, explored
+against a refresh writer exhaustively.
 """
 
 import hypothesis.strategies as st
 from hypothesis import given, settings
 
 from repro.core.iq_client import IQClient
-from repro.core.iq_server import IQServer
-from repro.errors import QuarantinedError
-from repro.sim.scheduler import Interleaver, Program
-from repro.sql.engine import Database
+from repro.mc import (
+    MCProgram,
+    Op,
+    Scenario,
+    World,
+    explore,
+    get_scenario,
+    replay,
+)
+from repro.mc.sessions import iq_reader, iq_refresh_writer
 from repro.util.backoff import NoBackoff
 
-KEY = "hot"
-
-
-def build_env():
-    db = Database()
-    setup = db.connect()
-    setup.execute("CREATE TABLE t (id INTEGER PRIMARY KEY, v INTEGER)")
-    setup.execute("INSERT INTO t (id, v) VALUES (1, 100)")
-    setup.close()
-    server = IQServer()
-    server.store.set(KEY, b"100")
-    return db, server
-
-
-def invalidating_writer(db, server):
-    def program():
-        for _ in range(60):
-            tid = server.gen_id()
-            try:
-                server.qar(tid, KEY)
-            except QuarantinedError:
-                server.abort(tid)
-                yield "w1:abort"
-                continue
-            yield "w1:qar"
-            connection = db.connect()
-            connection.begin()
-            connection.execute("UPDATE t SET v = v + 1 WHERE id = 1")
-            yield "w1:update"
-            connection.commit()
-            connection.close()
-            yield "w1:commit"
-            server.dar(tid)
-            return
-        raise AssertionError("writer1 starved")
-
-    return program
-
-
-def refreshing_writer(db, server):
-    def program():
-        for _ in range(60):
-            tid = server.gen_id()
-            try:
-                old = server.qaread(KEY, tid).value
-            except QuarantinedError:
-                server.abort(tid)
-                yield "w2:abort"
-                continue
-            yield "w2:qaread"
-            connection = db.connect()
-            connection.begin()
-            connection.execute("UPDATE t SET v = v * 2 WHERE id = 1")
-            yield "w2:update"
-            try:
-                connection.commit()
-            except Exception:
-                server.abort(tid)
-                connection.close()
-                yield "w2:rdbms-abort"
-                continue
-            connection.close()
-            yield "w2:commit"
-            if old is not None:
-                server.sar(KEY, str(int(old) * 2).encode(), tid)
-            else:
-                server.sar(KEY, None, tid)
-            return
-        raise AssertionError("writer2 starved")
-
-    return program
-
-
-def reader(db, server):
-    def program():
-        for _ in range(80):
-            result = server.iq_get(KEY)
-            if result.is_hit:
-                return
-            if result.backoff:
-                yield "r:backoff"
-                continue
-            yield "r:lease"
-            connection = db.connect()
-            value = connection.query_scalar("SELECT v FROM t WHERE id = 1")
-            connection.close()
-            yield "r:query"
-            server.iq_set(KEY, str(value).encode(), result.token)
-            return
-        raise AssertionError("reader starved")
-
-    return program
+MIX = get_scenario("mix3-inv-refresh-read")
 
 
 @given(
     choices=st.lists(
-        st.sampled_from(["W1", "W2", "R"]), min_size=6, max_size=40
+        st.sampled_from(["inv", "ref", "r"]), min_size=6, max_size=40
     )
 )
 @settings(max_examples=80, deadline=None)
 def test_random_three_session_schedules_never_leave_stale_data(choices):
-    db, server = build_env()
-    interleaver = Interleaver([
-        Program("W1", invalidating_writer(db, server)),
-        Program("W2", refreshing_writer(db, server)),
-        Program("R", reader(db, server)),
-    ])
-    interleaver.run(choices, finish_remaining=True, strict=False)
-
-    connection = db.connect()
-    final = connection.query_scalar("SELECT v FROM t WHERE id = 1")
-    connection.close()
-    cached = server.store.get(KEY)
-    assert cached is None or int(cached[0]) == final, (
-        "stale cache {!r} vs RDBMS {} under schedule {}".format(
-            cached, final, choices
-        )
+    result = replay(MIX, choices)
+    assert result.ok, (choices, result.violations)
+    # Seeded with 10: the invalidate writer adds 100, the refresh writer 7.
+    expected = (
+        10
+        + (100 if result.runs["inv"].result == "invalidated" else 0)
+        + (7 if result.runs["ref"].result == "refreshed" else 0)
     )
-    # Both writers completed: v went through +1 and *2 in some order.
-    assert final in (201, 202)
+    assert result.world.sql_contents() == {"k0": expected}
 
 
-@given(
-    choices=st.lists(
-        st.sampled_from(["W2", "R"]), min_size=4, max_size=30
-    ),
-    use_read_through=st.booleans(),
-)
-@settings(max_examples=60, deadline=None)
-def test_reader_through_client_api_matches_low_level(choices,
-                                                     use_read_through):
+def read_through_reader(name, key):
+    """One step: a whole :meth:`IQClient.read_through` call."""
+
+    def factory(world):
+        yield Op("{}:read-through".format(name), kvs=[key], sql=True)
+        client = IQClient(world.backend, backoff=NoBackoff(max_attempts=200))
+        value = client.read_through(
+            key, lambda: str(world.query_committed(key)).encode()
+        )
+        world.observe(name, "cache", key, value)
+
+    return MCProgram(name, factory)
+
+
+def test_reader_through_client_api_matches_low_level():
     """The same property holds when the reader uses IQClient.read_through
     (token management hidden) instead of raw commands."""
-    db, server = build_env()
+    for reader in (read_through_reader, iq_reader):
+        def build(reader=reader):
+            world = World(keys=("k0",), backend="iq")
+            world.seed("k0", 100)
+            return world, [
+                iq_refresh_writer("W", "k0", "val * 2",
+                                  lambda old: int(old) * 2, attempts=2),
+                reader("R", "k0"),
+            ]
 
-    def client_reader():
-        def program():
-            client = IQClient(server, backoff=NoBackoff(max_attempts=200))
-            state = {"done": False}
-
-            def compute():
-                connection = db.connect()
-                try:
-                    value = connection.query_scalar(
-                        "SELECT v FROM t WHERE id = 1"
-                    )
-                    return str(value).encode()
-                finally:
-                    connection.close()
-
-            # read_through loops internally; a single call is one step.
-            client.read_through(KEY, compute)
-            state["done"] = True
-            return
-            yield  # pragma: no cover
-
-        return program
-
-    reader_program = (
-        client_reader() if use_read_through else reader(db, server)
-    )
-    interleaver = Interleaver([
-        Program("W2", refreshing_writer(db, server)),
-        Program("R", reader_program),
-    ])
-    interleaver.run(choices, finish_remaining=True, strict=False)
-
-    connection = db.connect()
-    final = connection.query_scalar("SELECT v FROM t WHERE id = 1")
-    connection.close()
-    cached = server.store.get(KEY)
-    assert cached is None or int(cached[0]) == final
+        report = explore(Scenario("read-through", build))
+        assert report.ok, [v.messages for v in report.violations]
+        assert report.schedules_explored > 1
