@@ -2,8 +2,9 @@
 
 :class:`AsyncIQServer` exposes an :class:`IQServer` over the memcached
 text protocol from a single thread, non-blocking sockets and a
-``selectors`` readiness loop, so one shard process serves thousands of
-connections and the process-per-shard launcher
+readiness loop that drives the kernel poller itself (``select.epoll``,
+or ``select.poll`` where epoll does not exist), so one shard process
+serves thousands of connections and the process-per-shard launcher
 (:mod:`repro.net.cluster`) can put one such loop on every core -- the
 shape of the paper's event-driven IQ-Twemcached.
 
@@ -31,7 +32,10 @@ a data block beyond the cap) draws an error reply and a close; a peer
 that pipelines requests but never reads its replies is disconnected once
 the reply backlog passes the cap -- the loop has no thread to block for
 backpressure, so the cap is what keeps one misbehaving client from
-holding its memory hostage.
+holding its memory hostage.  A connection that is closing (``quit``, a
+broken frame, an overflow) only waits to flush what it owes: its poller
+interest is write-only, so a peer that keeps sending without reading
+cannot wake the loop, and the socket closes once the backlog drains.
 
 The loop exposes its health through the IQ server's stats registry
 (``stats`` over the wire): ``evloop_connections`` accepted,
@@ -39,7 +43,7 @@ The loop exposes its health through the IQ server's stats registry
 disconnects, and ``pipelined_commands`` answered in multi-reply writes.
 """
 
-import selectors
+import select
 import socket
 import threading
 
@@ -64,6 +68,26 @@ from repro.obs.trace import trace_context
 #: recv size per readiness event; large enough to drain a pipelined
 #: burst in one syscall.
 _RECV_CHUNK = 65536
+
+#: most recv calls a graceful close spends discarding unread input
+_CLOSE_DRAIN_CHUNKS = 16
+
+# The poller, chosen from the platform: ``select.poll`` has epoll's
+# calls and masks, but takes its timeout in milliseconds and has no
+# ``close``.  Hang-up and error count as both readable and writable:
+# the next recv or send meets the failure and closes the connection.
+if hasattr(select, "epoll"):
+    _new_poller = select.epoll
+    _IN, _OUT = select.EPOLLIN, select.EPOLLOUT
+    _FAIL = select.EPOLLHUP | select.EPOLLERR
+    _TIMEOUT_SCALE = 1
+else:  # pragma: no cover - platforms without epoll
+    _new_poller = select.poll
+    _IN, _OUT = select.POLLIN, select.POLLOUT
+    _FAIL = select.POLLHUP | select.POLLERR | select.POLLNVAL
+    _TIMEOUT_SCALE = 1000
+_READABLE = _IN | _FAIL
+_WRITABLE = _OUT | _FAIL
 
 
 def exception_reply(exc):
@@ -90,12 +114,14 @@ class _Connection:
     """Per-connection state: read buffer, parse position, reply buffer."""
 
     __slots__ = (
-        "sock", "inbuf", "pos", "out", "batch", "pending", "closing",
-        "corrupt_armed", "registered_write", "handler",
+        "sock", "fd", "inbuf", "pos", "out", "batch", "pending", "closing",
+        "corrupt_armed", "interest",
     )
 
     def __init__(self, sock):
         self.sock = sock
+        #: the poller key; kept because a closed socket's fileno() is -1
+        self.fd = sock.fileno()
         self.inbuf = bytearray()
         self.pos = 0
         self.out = bytearray()
@@ -107,11 +133,8 @@ class _Connection:
         #: once set, the connection closes as soon as ``out`` drains.
         self.closing = False
         self.corrupt_armed = False
-        self.registered_write = False
-        #: the selector callback, built once at accept -- re-registering
-        #: for writability reuses it instead of minting a new closure on
-        #: every readiness toggle.
-        self.handler = None
+        #: the poller mask this connection is registered with
+        self.interest = _IN
 
     def available(self):
         return len(self.inbuf) - self.pos
@@ -149,15 +172,18 @@ class AsyncIQServer:
         self._listener.setblocking(False)
         self.server_address = self._listener.getsockname()
 
-        self._selector = selectors.DefaultSelector()
-        self._selector.register(self._listener, selectors.EVENT_READ,
-                                self._on_accept)
+        self._poller = _new_poller()
+        #: fd -> (connection or socket, handler): the one table the loop
+        #: dispatches readiness through.
+        self._fds = {}
+        self._register(self._listener.fileno(), self._listener,
+                       self._on_accept)
         # Cross-thread wakeup: shutdown() writes one byte so a blocked
-        # select() returns immediately.
+        # poll() returns immediately.
         self._wake_recv, self._wake_send = socket.socketpair()
         self._wake_recv.setblocking(False)
-        self._selector.register(self._wake_recv, selectors.EVENT_READ,
-                                self._on_wakeup)
+        self._register(self._wake_recv.fileno(), self._wake_recv,
+                       self._on_wakeup)
 
         # Counter handles resolved once: the per-flush and per-batch
         # bumps are on the loop's hottest path.
@@ -167,7 +193,6 @@ class AsyncIQServer:
         self._count_overflow_close = counter("evloop_overflow_closes").inc
         self._count_pipelined = counter("pipelined_commands").inc
 
-        self._conns = {}
         self._shutdown_requested = threading.Event()
         self._loop_done = threading.Event()
         self._loop_done.set()  # not running yet
@@ -184,12 +209,18 @@ class AsyncIQServer:
     def serve_forever(self, poll_interval=0.5):
         """Run the event loop until :meth:`shutdown` (or a kill fault)."""
         self._loop_done.clear()
+        poll = self._poller.poll
+        timeout = poll_interval * _TIMEOUT_SCALE
+        fds = self._fds
+        stopping = self._shutdown_requested.is_set
         try:
-            while not self._shutdown_requested.is_set():
-                events = self._selector.select(poll_interval)
-                for key, mask in events:
-                    key.data(key.fileobj, mask)
-                    if self._shutdown_requested.is_set():
+            while not stopping():
+                for fd, mask in poll(timeout):
+                    # An earlier event of this batch may have closed it.
+                    entry = fds.get(fd)
+                    if entry is not None:
+                        entry[1](entry[0], mask)
+                    if stopping():
                         break
         finally:
             self._drain_and_close()
@@ -212,10 +243,9 @@ class AsyncIQServer:
         if self._closed:
             return
         self._closed = True
-        try:
-            self._selector.close()
-        except (OSError, RuntimeError):
-            pass
+        close_poller = getattr(self._poller, "close", None)
+        if close_poller is not None:
+            close_poller()
         for sock in (self._listener, self._wake_recv, self._wake_send):
             try:
                 sock.close()
@@ -223,9 +253,13 @@ class AsyncIQServer:
                 pass
         self.close_all_connections()
 
+    def _connections(self):
+        return [target for target, _handler in self._fds.values()
+                if isinstance(target, _Connection)]
+
     def close_all_connections(self):
         """Sever every live client connection, as a process death would."""
-        for conn in list(self._conns.values()):
+        for conn in self._connections():
             self._close_conn(conn, abrupt=True)
 
     def initiate_kill(self):
@@ -248,7 +282,7 @@ class AsyncIQServer:
         client-visible ambiguity.  Each connection gets one short
         blocking attempt to land its backlog before the socket closes.
         """
-        for conn in list(self._conns.values()):
+        for conn in self._connections():
             if conn.out:
                 try:
                     conn.sock.settimeout(0.5)
@@ -258,6 +292,11 @@ class AsyncIQServer:
         self.server_close()
 
     # -- event handlers ------------------------------------------------------
+
+    def _register(self, fd, target, handler):
+        """Watch ``fd`` for reads; readiness calls ``handler(target, mask)``."""
+        self._fds[fd] = (target, handler)
+        self._poller.register(fd, _IN)
 
     def _on_wakeup(self, sock, _mask):
         try:
@@ -277,19 +316,14 @@ class AsyncIQServer:
             except OSError:
                 pass
             conn = _Connection(sock)
-            conn.handler = self._make_conn_handler(conn)
-            self._conns[sock.fileno()] = conn
-            self._selector.register(sock, selectors.EVENT_READ,
-                                    conn.handler)
+            self._register(conn.fd, conn, self._on_conn_event)
             self._count_connection()
 
-    def _make_conn_handler(self, conn):
-        def handle(_sock, mask):
-            if mask & selectors.EVENT_WRITE:
-                self._on_writable(conn)
-            if mask & selectors.EVENT_READ and not conn.closing:
-                self._on_readable(conn)
-        return handle
+    def _on_conn_event(self, conn, mask):
+        if mask & _WRITABLE:
+            self._flush(conn)
+        if mask & _READABLE and not conn.closing:
+            self._on_readable(conn)
 
     def _on_readable(self, conn):
         injector = self.fault_injector
@@ -513,7 +547,15 @@ class AsyncIQServer:
 
     def _flush(self, conn):
         """One write attempt for the whole reply buffer (PR 5 one-write
-        flush); the unsent remainder waits for writability."""
+        flush); the unsent remainder waits for writability.
+
+        Then the poller interest follows the state: read, plus write
+        while a backlog waits; a closing connection closes once drained
+        and until then waits for writability *only* -- were it still
+        registered for reads, every byte its peer sends would wake the
+        level-triggered loop again, forever, for a handler that ignores
+        input once ``closing`` is set.
+        """
         if conn.sock.fileno() < 0:
             return
         if conn.out:
@@ -529,37 +571,44 @@ class AsyncIQServer:
                 return
             del conn.out[:sent]
             self._count_flush()
-        if conn.out:
-            self._want_write(conn, True)
-        else:
-            self._want_write(conn, False)
-            if conn.closing:
+        if conn.closing:
+            if not conn.out:
                 self._close_conn(conn)
-
-    def _on_writable(self, conn):
-        self._flush(conn)
-
-    def _want_write(self, conn, want):
-        if want == conn.registered_write:
-            return
-        conn.registered_write = want
-        events = selectors.EVENT_READ
-        if want:
-            events |= selectors.EVENT_WRITE
-        try:
-            self._selector.modify(conn.sock, events, conn.handler)
-        except (KeyError, ValueError, OSError):
-            pass
+                return
+            interest = _OUT
+        elif conn.out:
+            interest = _IN | _OUT
+        else:
+            interest = _IN
+        if interest != conn.interest:
+            conn.interest = interest
+            try:
+                self._poller.modify(conn.fd, interest)
+            except (KeyError, ValueError, OSError):
+                pass
 
     def _close_conn(self, conn, abrupt=False):
-        self._conns.pop(conn.sock.fileno(), None)
-        try:
-            self._selector.unregister(conn.sock)
-        except (KeyError, ValueError, OSError, RuntimeError):
-            pass
+        entry = self._fds.get(conn.fd)
+        if entry is not None and entry[0] is conn:
+            # (a closed connection's fd may already belong to a new one)
+            del self._fds[conn.fd]
+            try:
+                self._poller.unregister(conn.fd)
+            except (KeyError, ValueError, OSError):
+                pass
         if abrupt:
             try:
                 conn.sock.shutdown(socket.SHUT_RDWR)
+            except OSError:
+                pass
+        else:
+            # Unread input makes close() send a reset, and a reset
+            # discards the replies the kernel has not transmitted yet:
+            # drop what the peer sent past its last command first.
+            try:
+                for _ in range(_CLOSE_DRAIN_CHUNKS):
+                    if not conn.sock.recv(_RECV_CHUNK):
+                        break
             except OSError:
                 pass
         try:

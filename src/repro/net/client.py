@@ -162,18 +162,6 @@ class RemoteIQServer(commands.surface("_execute", skip_empty=True),
                 "awaiting reply",
             )
 
-    def _send(self, payload, doing):
-        """Send request bytes (fault sites fire around the write)."""
-        self._check_usable()
-        if self._injector is not None:
-            self._inject_send(doing)
-        try:
-            self._sock.sendall(payload)
-        except OSError as exc:
-            self._poison(exc, doing)
-        if self._injector is not None:
-            self._inject_after_send(doing)
-
     def read_line(self):
         """One reply line of the command being received (for parsers)."""
         try:
@@ -207,20 +195,46 @@ class RemoteIQServer(commands.surface("_execute", skip_empty=True),
 
     def _frame(self, line, data):
         """Encode one request frame (command line + optional data block)."""
-        payload = (line + self._trace_suffix()).encode() + CRLF
-        if data is not None:
-            payload += data + CRLF
-        return payload
+        if self._tracer.active:
+            line += self._trace_suffix()
+        if data is None:
+            return line.encode() + CRLF
+        return b"".join((line.encode(), CRLF, data, CRLF))
 
     def _execute(self, cmd, args):
-        """Send one command frame and parse its one reply."""
+        """Send one command frame and parse its one reply.
+
+        Every single command takes this path, so it is written out in
+        one frame: fault sites fire around the write, and the first
+        reply line comes straight off the reader -- the same steps as
+        :meth:`_execute_pipeline` with :meth:`_receive`, for one frame.
+        """
         payload = self._frame(*cmd.encode(*args))
+        verb = cmd.verb
         with self._lock:
-            self._send(payload, cmd.verb)
-            return self._receive(cmd, args)
+            if self._broken:
+                self._check_usable()
+            injector = self._injector
+            if injector is not None:
+                self._inject_send(verb)
+            try:
+                self._sock.sendall(payload)
+            except OSError as exc:
+                self._poison(exc, verb)
+            if injector is not None:
+                self._inject_after_send(verb)
+            self._doing = verb
+            try:
+                first = self._reader.read_line()
+            except (OSError, ConnectionError) as exc:
+                self._poison(exc, verb)
+            if first.startswith(ERROR_PREFIXES):
+                raise reply_error(first)
+            return cmd.parse(self, first, args)
 
     def _receive(self, cmd, args):
-        """The one reply path: every reply of every command comes through.
+        """Read one pipelined command's reply (:meth:`_execute` does the
+        same for a single command).
 
         An error reply is one complete line, so raising its typed error
         leaves the stream in step; ``cmd.parse`` only ever sees the

@@ -92,7 +92,12 @@ class CircuitBreaker:
         Raises :class:`CircuitOpenError` while the circuit is open and
         cooling down.  After the cooldown, transitions to HALF_OPEN and
         lets the caller through as the probe.
+
+        A closed circuit lets every call through, so that state is read
+        without the lock: a call racing a trip went first.
         """
+        if self._state == CircuitState.CLOSED:
+            return
         with self._lock:
             if self._state == CircuitState.OPEN:
                 if self.clock.now() - self._opened_at < self.cooldown:
@@ -125,7 +130,15 @@ class CircuitBreaker:
 
     def record_success(self):
         """Note a successful call; returns True when this closed a
-        previously-open circuit (the recovery moment)."""
+        previously-open circuit (the recovery moment).
+
+        Closed with no failures counted, a success changes nothing, so
+        that state is read without the lock; every transition and every
+        reset still happens under it.
+        """
+        if (self._state == CircuitState.CLOSED
+                and self._consecutive_failures == 0):
+            return False
         with self._lock:
             recovered = self._state != CircuitState.CLOSED
             self._state = CircuitState.CLOSED
@@ -182,7 +195,11 @@ class ReconciliationJournal:
             return len(self._keys)
 
     def __bool__(self):
-        return len(self) > 0
+        # Asked before every call: one read of the set, no lock.  A key
+        # journaled concurrently is ordered after this call; a lock
+        # would not change that, as it is released before the call goes
+        # on.
+        return bool(self._keys)
 
 
 class ConnectionPool:
@@ -204,55 +221,80 @@ class ConnectionPool:
     blocks forever on an empty pool, or double-listing a connection so
     two callers share one socket.  A pool whose every connection was
     discarded simply re-dials lazily on the next ``acquire``.
+
+    Every check-out and settlement is O(1) under the pool's lock:
+    the idle connections are an insertion-ordered dict used as a set
+    (``popitem`` hands out the most recently released one), so
+    membership and removal never scan.  The lock is not optional: a
+    pop outside it could hand out a connection a concurrent
+    :meth:`discard` had just closed.
     """
 
     def __init__(self, dial, max_size):
         self._dial = dial
         self._max = max(1, max_size)
-        self._cond = threading.Condition()
-        self._idle = []
+        # Entered as the plain lock (cheaper than the condition's
+        # Python-level __enter__); the condition over it is for waiting.
+        self._lock = threading.Lock()
+        self._cond = threading.Condition(self._lock)
+        #: idle connections, as dict keys (values unused)
+        self._idle = {}
         #: every connection the pool currently owns (idle or checked out)
         self._known = set()
         self._total = 0
+        #: callers blocked in ``acquire`` (settlements notify only then)
+        self._waiting = 0
         self._closed = False
 
     @property
     def live_connections(self):
-        with self._cond:
+        with self._lock:
             return self._total
 
     def acquire(self):
-        stale = []
+        with self._lock:
+            # The common case: an idle, healthy connection.
+            if self._idle and not self._closed:
+                conn = self._idle.popitem()[0]
+                if not conn.broken:
+                    return conn
+                self._forget(conn)
+                stale = [conn]
+            else:
+                stale = []
         try:
-            with self._cond:
+            with self._lock:
                 while True:
                     if self._closed:
                         raise ConnectionLostError(
                             "connection pool is closed"
                         )
                     if self._idle:
-                        conn = self._idle.pop()
+                        conn = self._idle.popitem()[0]
                         if conn.broken:
-                            self._total -= 1
-                            self._known.discard(conn)
+                            self._forget(conn)
                             stale.append(conn)
                             continue
                         return conn
                     if self._total < self._max:
                         self._total += 1
                         break
-                    self._cond.wait()
+                    self._waiting += 1
+                    try:
+                        self._cond.wait()
+                    finally:
+                        self._waiting -= 1
         finally:
             for conn in stale:
                 self._close_quietly(conn)
         try:
             conn = self._dial()
         except BaseException:
-            with self._cond:
+            with self._lock:
                 self._total -= 1
-                self._cond.notify()
+                self._wake_one()
             raise
-        with self._cond:
+        with self._lock:
             self._known.add(conn)
         return conn
 
@@ -262,18 +304,15 @@ class ConnectionPool:
         Releasing a connection the pool no longer owns (already
         discarded, or already sitting idle) is a no-op.
         """
-        with self._cond:
-            if conn not in self._known:
-                return
-            if any(idle is conn for idle in self._idle):
+        with self._lock:
+            if conn not in self._known or conn in self._idle:
                 return
             if conn.broken or self._closed:
-                self._known.discard(conn)
-                self._total -= 1
+                self._forget(conn)
             else:
-                self._idle.append(conn)
+                self._idle[conn] = None
                 conn = None
-            self._cond.notify()
+            self._wake_one()
         if conn is not None:
             self._close_quietly(conn)
 
@@ -283,25 +322,34 @@ class ConnectionPool:
         Idempotent: a second discard of the same connection leaves the
         accounting untouched.
         """
-        with self._cond:
+        with self._lock:
             if conn not in self._known:
                 return
-            self._known.discard(conn)
-            self._idle = [idle for idle in self._idle if idle is not conn]
-            self._total -= 1
-            self._cond.notify()
+            self._idle.pop(conn, None)
+            self._forget(conn)
+            self._wake_one()
         self._close_quietly(conn)
 
     def close(self):
-        with self._cond:
+        with self._lock:
             self._closed = True
-            idle, self._idle = self._idle, []
+            idle = list(self._idle)
+            self._idle.clear()
             for conn in idle:
-                self._known.discard(conn)
-            self._total -= len(idle)
+                self._forget(conn)
             self._cond.notify_all()
         for conn in idle:
             self._close_quietly(conn)
+
+    def _forget(self, conn):
+        """Give up ownership of ``conn`` and its slot (lock held)."""
+        self._known.discard(conn)
+        self._total -= 1
+
+    def _wake_one(self):
+        """Hand a freed slot or idle connection to a waiter (lock held)."""
+        if self._waiting:
+            self._cond.notify()
 
     @staticmethod
     def _close_quietly(conn):

@@ -31,6 +31,13 @@ LeaseBackend` instances.
 Mutations are serialized by the ring's own lock; the router additionally
 serializes topology changes under its router lock so a flip and a route
 can never interleave halfway (the flip is one locked splice).
+
+**Owner memo.**  A lookup hashes the key (MD5) and bisects the points;
+the live ring remembers each answer in a dict of at most
+:data:`MEMO_CAP` keys, so a key routed before costs one dict probe.  The
+memo is filled under the ring's lock and *replaced* under it by every
+``add_node``/``remove_node``, so no answer outlives the arrangement it
+was computed from; a full memo starts over empty.
 """
 
 import bisect
@@ -43,6 +50,10 @@ __all__ = [
     "RingView",
     "ownership_diff",
 ]
+
+
+#: most keys :meth:`ConsistentHashRing.node_for` remembers owners for
+MEMO_CAP = 1 << 15
 
 
 def _hash(data):
@@ -216,6 +227,8 @@ class ConsistentHashRing:
         self._points = []
         self._owners = []
         self._nodes = set()
+        #: key -> owner under the current arrangement (see module doc)
+        self._memo = {}
         #: advances on every topology mutation
         self.epoch = 0
         for node in nodes:
@@ -242,6 +255,7 @@ class ConsistentHashRing:
                 index = bisect.bisect(self._points, point)
                 self._points.insert(index, point)
                 self._owners.insert(index, node)
+            self._memo = {}
             self.epoch += 1
             if not old_points:
                 return [OwnershipChange(0, 0, None, node)]
@@ -277,6 +291,7 @@ class ConsistentHashRing:
             ]
             self._points = [point for point, _owner in keep]
             self._owners = [owner for _point, owner in keep]
+            self._memo = {}
             self.epoch += 1
             if not self._points:
                 return [OwnershipChange(0, 0, node, None)]
@@ -323,14 +338,22 @@ class ConsistentHashRing:
 
     def node_for(self, key):
         """The node identifier owning ``key``."""
-        key = _encode_key(key)
+        owner = self._memo.get(key)
+        if owner is not None:
+            return owner
+        position = _hash(_encode_key(key))
         with self._lock:
             if not self._points:
                 raise ValueError("ring has no nodes")
-            index = bisect.bisect(self._points, _hash(key))
+            index = bisect.bisect(self._points, position)
             if index == len(self._points):
                 index = 0  # wrap past the highest point
-            return self._owners[index]
+            owner = self._owners[index]
+            memo = self._memo
+            if len(memo) >= MEMO_CAP:
+                memo = self._memo = {}
+            memo[key] = owner
+            return owner
 
     def spread(self, keys):
         """Map each node to how many of ``keys`` it owns (load check)."""
