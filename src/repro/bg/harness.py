@@ -32,6 +32,16 @@ from repro.kvs.read_lease import ReadLeaseStore
 from repro.sharding import ShardedIQServer
 
 
+#: technique -> (IQ-leased consistency client, unleased baseline); the
+#: lease-free clock technique has no baseline
+CLIENT_CLASSES = {
+    Technique.INVALIDATE: (IQInvalidateClient, BaselineInvalidateClient),
+    Technique.REFRESH: (IQRefreshClient, BaselineRefreshClient),
+    Technique.DELTA: (IQDeltaClient, BaselineDeltaClient),
+    Technique.CLOCK: (ClockClient, None),
+}
+
+
 class BGSystem:
     """The assembled components of one benchmark configuration."""
 
@@ -171,12 +181,7 @@ def build_bg_system(members=200, friends_per_member=10,
                 kvs_config=KVSConfig(), lease_config=lease_config
             )
         iq_client = IQClient(server, backoff=backoff)
-        client_class = {
-            Technique.INVALIDATE: IQInvalidateClient,
-            Technique.REFRESH: IQRefreshClient,
-            Technique.DELTA: IQDeltaClient,
-            Technique.CLOCK: ClockClient,
-        }[technique]
+        client_class = CLIENT_CLASSES[technique][0]
         extra = {}
         if technique is Technique.CLOCK and clock_config is not None:
             # Interval sizing is workload tuning (a longer interval
@@ -188,18 +193,13 @@ def build_bg_system(members=200, friends_per_member=10,
         cache = server
     else:
         store = ReadLeaseStore(lease_config=lease_config)
+        client_class = CLIENT_CLASSES[technique][1]
+        extra = {}
         if technique is Technique.INVALIDATE:
-            consistency_client = BaselineInvalidateClient(
-                store, db.connect, timing=delete_timing, backoff=backoff
-            )
-        elif technique is Technique.REFRESH:
-            consistency_client = BaselineRefreshClient(
-                store, db.connect, backoff=backoff
-            )
-        else:
-            consistency_client = BaselineDeltaClient(
-                store, db.connect, backoff=backoff
-            )
+            extra["timing"] = delete_timing
+        consistency_client = client_class(
+            store, db.connect, backoff=backoff, **extra
+        )
         cache = store
 
     actions = BGActions(

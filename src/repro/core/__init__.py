@@ -8,8 +8,8 @@ This package is the paper's primary contribution:
 * :mod:`repro.core.iq_server` -- IQ-Twemcached: the KVS extended with the
   ten commands of Section 5 (IQget, IQset, QaRead, SaR, GenID, QaR, DaR,
   IQ-delta, Commit, Abort) and the Section 3.3 / 4.2.2 optimizations;
-* :mod:`repro.core.iq_client` -- the client that manages lease tokens and
-  backoff transparently on behalf of sessions;
+* :mod:`repro.core.iq_client` -- the client that manages I lease tokens
+  and backoff transparently on behalf of read sessions;
 * :mod:`repro.core.session` -- the session programming model (2PL-like
   lease discipline around an RDBMS transaction) with the two acquisition
   strategies of Section 6.2 (prior to vs during the transaction);

@@ -112,7 +112,9 @@ class _SessionState:
         self.refreshed = {}
 
 
-_DELTA_OPS = ("append", "prepend", "incr", "decr")
+#: the incremental-change operations; each is also the name of the
+#: store method that applies it
+DELTA_OPS = ("append", "prepend", "incr", "decr")
 
 
 def apply_delta(value, op, operand):
@@ -448,7 +450,7 @@ class IQServer(LeaseBackend):
         :class:`QuarantinedError` when the key is quarantined by another
         session (Figure 5b).
         """
-        if op not in _DELTA_OPS:
+        if op not in DELTA_OPS:
             raise BadValueError("unknown delta operation {!r}".format(op))
         with self._lock:
             self._check_tid_live(tid, key)

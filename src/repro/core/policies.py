@@ -30,13 +30,19 @@ import enum
 import threading
 
 from repro.config import BackoffConfig, ClockConfig
-from repro.core.session import AcquisitionMode, SessionOutcome, SessionRunner
+from repro.core.iq_server import DELTA_OPS
+from repro.core.session import (
+    AcquisitionMode,
+    SessionOutcome,
+    SessionRunner,
+    attempt,
+)
 from repro.errors import (
+    BadValueError,
     CacheUnavailableError,
     DegradedModeActive,
     QuarantinedError,
     StarvationError,
-    TransactionAbortedError,
 )
 from repro.obs.registry import MetricsRegistry
 from repro.obs.trace import get_tracer
@@ -53,7 +59,10 @@ class KeyChange:
     without writing; the next reader recomputes from the RDBMS).
 
     ``deltas`` is a list of ``(op, operand)`` incremental changes used by
-    the incremental-update technique (op in append/prepend/incr/decr).
+    the incremental-update technique; an ``op`` outside
+    :data:`~repro.core.iq_server.DELTA_OPS` (append/prepend/incr/decr)
+    raises :class:`~repro.errors.BadValueError` here, before any
+    session runs.
 
     ``invalidate`` marks a key that must be *deleted* even under the
     refresh/delta techniques -- used for changes (set-element removal)
@@ -68,6 +77,9 @@ class KeyChange:
         self.key = key
         self.refresher = refresher
         self.deltas = list(deltas)
+        for op, _operand in self.deltas:
+            if op not in DELTA_OPS:
+                raise BadValueError("unknown delta operation {!r}".format(op))
         self.invalidate = invalidate
 
     def __repr__(self):
@@ -90,7 +102,12 @@ class DeleteTiming(enum.Enum):
 # ---------------------------------------------------------------------------
 
 class _IQClientBase:
-    """Shared structure of the three IQ consistency clients.
+    """The one write-session skeleton of the three IQ consistency clients.
+
+    :meth:`_session` is the paper's session discipline, written once;
+    a technique supplies only :meth:`grow` (which lease commands the
+    growing phase issues) and :meth:`shrink` (which apply commands the
+    shrinking phase issues after the SQL commit).
 
     **Degraded mode** (``degraded_fallback``, on by default): when the
     KVS becomes unreachable -- :class:`~repro.errors.CacheUnavailableError`
@@ -206,11 +223,50 @@ class _IQClientBase:
     def write(self, sql_body, changes):
         """Write session with SQL-only fallback when the cache is away."""
         try:
-            return self._write_sessions(sql_body, changes)
+            return self.runner.run(
+                lambda session: self._session(session, sql_body, changes)
+            )
         except CacheUnavailableError as exc:
             return self._write_degraded(sql_body, changes, exc)
 
-    def _write_sessions(self, sql_body, changes):
+    def _session(self, session, sql_body, changes):
+        """One attempt of the write session every technique shares.
+
+        Growing phase (:meth:`grow`) before ``BEGIN`` under PRIOR or
+        between the body and ``COMMIT`` under DURING; keys whose shard
+        was away during it are journaled once the SQL has committed;
+        then the shrinking phase (:meth:`shrink`), which detaches the
+        session if the cache vanishes part way.
+        """
+        pending = []
+        if self.mode is AcquisitionMode.PRIOR:
+            grown = self.grow(session, changes, pending)
+            session.begin_sql()
+            result = sql_body(session)
+        else:
+            session.begin_sql()
+            result = sql_body(session)
+            grown = self.grow(session, changes, pending)
+        session.commit_sql()
+        if pending:
+            # Before the commit their cached values were still correct,
+            # so the journal entries must not exist until now; an
+            # aborted attempt simply discards ``pending``.
+            self._journal(pending)
+        try:
+            self.shrink(session, changes, grown)
+        except CacheUnavailableError:
+            self._detach_after_commit(session, changes)
+        return result
+
+    def grow(self, session, changes, pending):
+        """Acquire the session's Q leases; returns what :meth:`shrink`
+        needs.  A key whose shard is unreachable is queued on
+        ``pending``."""
+        raise NotImplementedError
+
+    def shrink(self, session, changes, grown):
+        """Apply the session's changes and release its leases."""
         raise NotImplementedError
 
     # -- degraded-mode plumbing ----------------------------------------------
@@ -234,6 +290,11 @@ class _IQClientBase:
             self._tracer.emit("client.detach", tid=session.tid,
                               trace_id=session.trace_id)
 
+    def _degrade_key(self, key):
+        self._degraded_key_changes.inc()
+        if self._tracer.active:
+            self._tracer.emit("client.degraded.key", key=key)
+
     def _guard_key(self, change, operation, pending=None):
         """Run one key's cache operation, degrading only that key's shard.
 
@@ -241,7 +302,7 @@ class _IQClientBase:
         :class:`~repro.errors.CacheUnavailableError` the key is skipped
         and the rest of the session keeps using the cache.  Growing-phase
         callers pass ``pending``: the change is queued there and journaled
-        only after ``commit_sql`` (see :meth:`_journal_pending`).
+        only after ``commit_sql``.
         Journaling it at failure time would be unsafe -- if the shard
         recovers mid-session, a delete-on-recover pass consumes the entry
         and deletes the key *before* the commit, after which a concurrent
@@ -261,19 +322,25 @@ class _IQClientBase:
                 self._journal([change])
             else:
                 pending.append(change)
-            self._degraded_key_changes.inc()
-            if self._tracer.active:
-                self._tracer.emit("client.degraded.key", key=change.key)
+            self._degrade_key(change.key)
             return False
 
-    def _journal_pending(self, pending):
-        """Journal growing-phase casualties, now that the SQL committed.
+    def _grow_keys(self, session, changes, pending, invalidates, leg=None):
+        """The growing-phase loop of every technique, in ``changes`` order.
 
-        Before the commit their cached values were still correct, so the
-        journal entries must not exist yet; a session that aborts simply
-        discards ``pending``."""
-        if pending:
-            self._journal(pending)
+        The invalidation subset (``invalidates(change)``) is Q-leased
+        with one batched ``qareg`` when :meth:`_batch_acquire` can, else
+        with a per-key ``QaR`` at its place in the list; every other
+        change runs the technique's own ``leg(change)`` there.
+        """
+        invalidations = [change for change in changes if invalidates(change)]
+        batched = self._batch_acquire(session, invalidations, pending)
+        for change in changes:
+            if not invalidates(change):
+                leg(change)
+            elif not batched:
+                self._guard_key(change, lambda c=change: session.qar(c.key),
+                                pending)
 
     def _batch_acquire(self, session, changes, pending):
         """Acquire the invalidation Q leases for ``changes`` in one batch.
@@ -310,9 +377,7 @@ class _IQClientBase:
                     "acquisition".format(key)
                 )
             pending.append(by_key[key])
-            self._degraded_key_changes.inc()
-            if self._tracer.active:
-                self._tracer.emit("client.degraded.key", key=key)
+            self._degrade_key(key)
         return True
 
     def _write_degraded(self, sql_body, changes, cause):
@@ -321,17 +386,8 @@ class _IQClientBase:
             raise DegradedModeActive(
                 "write with cache unavailable: {}".format(cause)
             ) from cause
-        connection = self.connection_factory()
-        try:
-            connection.begin()
-            result = sql_body(_BaselineSession(connection))
-            connection.commit()
-        except Exception:
-            if connection.in_transaction:
-                connection.rollback()
-            raise
-        finally:
-            connection.close()
+        with attempt(self.connection_factory) as session:
+            result = session.transaction(sql_body)
         # Journal *after* the commit: a concurrent reconciliation that
         # deleted the keys pre-commit could let a reader re-cache the
         # pre-transaction value and leave it stale.
@@ -351,36 +407,11 @@ class IQInvalidateClient(_IQClientBase):
     per shard), falling back to per-key ``QaR`` otherwise.
     """
 
-    def _write_sessions(self, sql_body, changes):
-        def body(session):
-            degraded = []
+    def grow(self, session, changes, pending):
+        self._grow_keys(session, changes, pending, lambda change: True)
 
-            def acquire():
-                if self._batch_acquire(session, changes, degraded):
-                    return
-                for change in changes:
-                    self._guard_key(
-                        change, lambda c=change: session.qar(c.key),
-                        pending=degraded,
-                    )
-
-            if self.mode == AcquisitionMode.PRIOR:
-                acquire()
-                session.begin_sql()
-                result = sql_body(session)
-            else:
-                session.begin_sql()
-                result = sql_body(session)
-                acquire()
-            session.commit_sql()
-            self._journal_pending(degraded)
-            try:
-                session.dar()
-            except CacheUnavailableError:
-                self._detach_after_commit(session, changes)
-            return result
-
-        return self.runner.run(body)
+    def shrink(self, session, changes, grown):
+        session.dar()
 
 
 class IQRefreshClient(_IQClientBase):
@@ -392,71 +423,38 @@ class IQRefreshClient(_IQClientBase):
     simultaneous refresh+invalidate usage.
     """
 
-    @staticmethod
-    def _is_invalidation(change):
-        return change.invalidate or change.refresher is None
+    def grow(self, session, changes, pending):
+        """Quarantine the invalidation subset; QaRead each refreshed key
+        and compute its new value.  Returns ``[(change, new value)]``.
 
-    def _write_sessions(self, sql_body, changes):
-        def body(session):
-            new_values = {}
-            degraded = []
+        The exclusive ``qaread`` legs stay per key: each needs its old
+        value back before the refresher can run."""
+        refreshed = []
 
-            def acquire_and_compute():
-                # The invalidation subset shares one batched qareg (the
-                # exclusive qaread legs stay per-key: each needs its old
-                # value back before the refresher can run).
-                invalidations = [
-                    change for change in changes
-                    if self._is_invalidation(change)
-                ]
-                batched = self._batch_acquire(session, invalidations,
-                                              degraded)
-                for change in changes:
-                    if self._is_invalidation(change):
-                        if not batched:
-                            self._guard_key(
-                                change,
-                                lambda c=change: session.qar(c.key),
-                                pending=degraded,
-                            )
-                        continue
+        def read_modify(change):
+            def leg():
+                old = session.qaread(change.key).value
+                refreshed.append((change, change.refresher(old)))
 
-                    def read_modify(c=change):
-                        old = session.qaread(c.key).value
-                        new_values[c.key] = c.refresher(old)
+            self._guard_key(change, leg, pending)
 
-                    self._guard_key(change, read_modify, pending=degraded)
+        self._grow_keys(
+            session, changes, pending,
+            lambda change: change.invalidate or change.refresher is None,
+            read_modify,
+        )
+        return refreshed
 
-            if self.mode == AcquisitionMode.PRIOR:
-                acquire_and_compute()
-                session.begin_sql()
-                result = sql_body(session)
-            else:
-                session.begin_sql()
-                result = sql_body(session)
-                acquire_and_compute()
-            session.commit_sql()
-            self._journal_pending(degraded)
-            try:
-                for change in changes:
-                    # A key whose shard degraded during the growing phase
-                    # has no lease and no computed value: skip its SaR.
-                    if self._is_invalidation(change):
-                        continue
-                    if change.key not in new_values:
-                        continue
-                    self._guard_key(
-                        change,
-                        lambda c=change: session.sar(c.key, new_values[c.key]),
-                    )
-                # Applies registered invalidations and releases any leases
-                # still held (a no-op when every key went through SaR).
-                session.commit_kvs()
-            except CacheUnavailableError:
-                self._detach_after_commit(session, changes)
-            return result
-
-        return self.runner.run(body)
+    def shrink(self, session, changes, refreshed):
+        # A key whose shard degraded during the growing phase has no
+        # lease and no computed value, so it is not in ``refreshed``.
+        for change, value in refreshed:
+            self._guard_key(
+                change, lambda c=change, v=value: session.sar(c.key, v)
+            )
+        # Applies registered invalidations and releases any leases still
+        # held (a no-op when every key went through SaR).
+        session.commit_kvs()
 
 
 class IQDeltaClient(_IQClientBase):
@@ -475,53 +473,21 @@ class IQDeltaClient(_IQClientBase):
         if poison is not None:
             poison(session.tid, key)
 
-    def _write_sessions(self, sql_body, changes):
-        def body(session):
-            degraded = []
+    def grow(self, session, changes, pending):
+        def propose_deltas(change):
+            def leg():
+                for op, operand in change.deltas:
+                    session.delta(change.key, op, operand)
 
-            def propose():
-                invalidations = [
-                    change for change in changes if change.invalidate
-                ]
-                batched = self._batch_acquire(session, invalidations,
-                                              degraded)
-                for change in changes:
-                    if change.invalidate:
-                        if not batched:
-                            self._guard_key(
-                                change,
-                                lambda c=change: session.qar(c.key),
-                                pending=degraded,
-                            )
-                        continue
+            # All of a key's deltas land on one shard.
+            if not self._guard_key(change, leg, pending):
+                self._poison_shard(session, change.key)
 
-                    def propose_deltas(c=change):
-                        for op, operand in c.deltas:
-                            session.delta(c.key, op, operand)
+        self._grow_keys(session, changes, pending,
+                        lambda change: change.invalidate, propose_deltas)
 
-                    # All of a key's deltas land on one shard.
-                    if not self._guard_key(
-                        change, propose_deltas, pending=degraded
-                    ):
-                        self._poison_shard(session, change.key)
-
-            if self.mode == AcquisitionMode.PRIOR:
-                propose()
-                session.begin_sql()
-                result = sql_body(session)
-            else:
-                session.begin_sql()
-                result = sql_body(session)
-                propose()
-            session.commit_sql()
-            self._journal_pending(degraded)
-            try:
-                session.commit_kvs()
-            except CacheUnavailableError:
-                self._detach_after_commit(session, changes)
-            return result
-
-        return self.runner.run(body)
+    def shrink(self, session, changes, grown):
+        session.commit_kvs()
 
 
 # ---------------------------------------------------------------------------
@@ -582,6 +548,8 @@ class ClockClient:
         self.config = config or ClockConfig()
         self.backoff = backoff or ExponentialBackoff(BackoffConfig())
         self.clock = clock or SystemClock()
+        self.runner = SessionRunner(None, connection_factory,
+                                    backoff=self.backoff, clock=self.clock)
         self.degraded_fallback = degraded_fallback
         connection = connection_factory()
         try:
@@ -765,39 +733,21 @@ class ClockClient:
         return None
 
     def write(self, sql_body, changes):
-        """RDBMS transaction + clock-jumping commit; zero cache I/O."""
+        """RDBMS transaction + clock-jumping commit; zero cache I/O.
+
+        A first-updater-wins conflict restarts through the same
+        :class:`~repro.core.session.SessionRunner` loop as the IQ
+        clients, on sessions that mint no TID: there are no leases to
+        release."""
         keys = [change.key for change in changes]
-        restarts = 0
-        delays = self.backoff.delays()
-        while True:
-            connection = self.connection_factory()
-            try:
-                connection.begin()
-                result = sql_body(_BaselineSession(connection))
-                connection.commit(clock_keys=keys)
-                self._clock_commits.inc()
-                if self._tracer.active:
-                    self._tracer.emit("clock.commit", keys=len(keys),
-                                      restarts=restarts)
-                return SessionOutcome(result, restarts)
-            except TransactionAbortedError:
-                # First-updater-wins conflict; the engine already aborted
-                # the transaction.  Back off and restart, exactly like
-                # the IQ session runner -- but with no leases to release.
-                restarts += 1
-                if self._tracer.active:
-                    self._tracer.emit("session.restart", restarts=restarts)
-                try:
-                    delay = next(delays)
-                except StarvationError:
-                    raise StarvationError(restarts)
-                self.clock.sleep(delay)
-            except Exception:
-                if connection.in_transaction:
-                    connection.rollback()
-                raise
-            finally:
-                connection.close()
+        outcome = self.runner.run(
+            lambda session: session.transaction(sql_body, clock_keys=keys)
+        )
+        self._clock_commits.inc()
+        if self._tracer.active:
+            self._tracer.emit("clock.commit", keys=len(keys),
+                              restarts=outcome.restarts)
+        return outcome
 
 
 # ---------------------------------------------------------------------------
@@ -836,45 +786,11 @@ class _BaselineBase:
                 return value
             self.clock.sleep(next(delays))
 
-    def _run_sql(self, sql_body, before_body=None, before_commit=None):
-        """Run the RDBMS transaction of a baseline write session."""
-        connection = self.connection_factory()
-        try:
-            connection.begin()
-            if before_body is not None:
-                before_body()
-            result = sql_body(_BaselineSession(connection))
-            if before_commit is not None:
-                before_commit()
-            connection.commit()
-            return result
-        except Exception:
-            if connection.in_transaction:
-                connection.rollback()
-            raise
-        finally:
-            connection.close()
-
-
-class _BaselineSession:
-    """Minimal session facade handed to ``sql_body`` for baselines."""
-
-    __slots__ = ("sql",)
-
-    def __init__(self, connection):
-        self.sql = connection
-
-    def execute(self, sql, params=()):
-        return self.sql.execute(sql, params)
-
-    def query_one(self, sql, params=()):
-        return self.sql.query_one(sql, params)
-
-    def query_scalar(self, sql, params=()):
-        return self.sql.query_scalar(sql, params)
-
-    def on_commit(self, callback):
-        return self.sql.on_commit(callback)
+    def _run_sql(self, sql_body, before_body=None):
+        """Run the RDBMS transaction of a baseline write session (one
+        attempt: a conflict propagates, it never restarts)."""
+        with attempt(self.connection_factory) as session:
+            return session.transaction(sql_body, before_body=before_body)
 
 
 class BaselineInvalidateClient(_BaselineBase):
@@ -916,9 +832,8 @@ class BaselineRefreshClient(_BaselineBase):
     a snapshot-stale recomputation from landing, so stale data persists.
     """
 
-    def __init__(self, store, connection_factory, cas_retries=3, **kwargs):
-        super().__init__(store, connection_factory, **kwargs)
-        self.cas_retries = cas_retries
+    #: gets/cas rounds per key before the refresh gives up
+    CAS_RETRIES = 3
 
     def write(self, sql_body, changes):
         from repro.kvs.store import StoreResult
@@ -928,7 +843,7 @@ class BaselineRefreshClient(_BaselineBase):
             if change.invalidate or change.refresher is None:
                 self.store.delete(change.key)
                 continue
-            for _attempt in range(self.cas_retries):
+            for _round in range(self.CAS_RETRIES):
                 got = self.store.gets(change.key)
                 if got is None:
                     break  # nothing cached; next reader recomputes
@@ -955,12 +870,7 @@ class BaselineDeltaClient(_BaselineBase):
                 self.store.delete(change.key)
                 continue
             for op, operand in change.deltas:
-                if op == "append":
-                    self.store.append(change.key, operand)
-                elif op == "prepend":
-                    self.store.prepend(change.key, operand)
-                elif op == "incr":
-                    self.store.incr(change.key, operand)
-                elif op == "decr":
-                    self.store.decr(change.key, operand)
+                # ``KeyChange`` admits only DELTA_OPS, each of which is
+                # the name of the store method that applies it.
+                getattr(self.store, op)(change.key, operand)
         return SessionOutcome(result, restarts=0)

@@ -16,16 +16,18 @@ Two lease-acquisition strategies are compared in Section 6.2:
   counts low.
 
 :class:`SessionRunner` executes a session body with automatic abort,
-rollback, backoff, and restart accounting (the Table 6 metric).
+rollback, backoff, and restart accounting (the Table 6 metric); every
+attempt, restarted or one-shot, opens and closes its connection through
+:func:`attempt`.
 """
 
 import enum
+from contextlib import contextmanager
 
 from repro.config import BackoffConfig
 from repro.errors import (
     CacheUnavailableError,
     QuarantinedError,
-    SessionAbortedError,
     StarvationError,
     TransactionAbortedError,
 )
@@ -41,26 +43,82 @@ class AcquisitionMode(enum.Enum):
     DURING = "during the RDBMS transaction"
 
 
-class WriteSession:
+class SqlSession:
+    """The SQL half of a write session: one RDBMS connection, no TID.
+
+    Baseline, clock and degraded writes hand ``sql_body`` this half
+    alone; :class:`WriteSession` adds the KVS half.  ``tid`` and
+    ``trace_id`` are ``None``: the session mints nothing.
+    """
+
+    tid = None
+    trace_id = None
+
+    def __init__(self, connection):
+        self.sql = connection
+
+    def transaction(self, sql_body, before_body=None, **commit_options):
+        """``BEGIN``, ``before_body()``, ``sql_body(self)``, ``COMMIT``.
+
+        Returns ``sql_body``'s result.  On failure the transaction is
+        left for :meth:`abandon` (the session's :func:`attempt`) to roll
+        back; ``commit_options`` go to the connection's ``commit``.
+        """
+        self.begin_sql()
+        if before_body is not None:
+            before_body()
+        result = sql_body(self)
+        self.commit_sql(**commit_options)
+        return result
+
+    def begin_sql(self):
+        return self.sql.begin()
+
+    def execute(self, sql, params=()):
+        return self.sql.execute(sql, params)
+
+    def query_one(self, sql, params=()):
+        return self.sql.query_one(sql, params)
+
+    def query_scalar(self, sql, params=()):
+        return self.sql.query_scalar(sql, params)
+
+    def on_commit(self, callback):
+        return self.sql.on_commit(callback)
+
+    def commit_sql(self, **options):
+        self.sql.commit(**options)
+
+    def rollback_sql(self):
+        if self.sql.in_transaction:
+            self.sql.rollback()
+
+    def abandon(self):
+        """Clean up after a failure: roll the transaction back."""
+        self.rollback_sql()
+
+
+class WriteSession(SqlSession):
     """One attempt at executing a write session.
 
     Binds a fresh TID from the IQ-Server to an RDBMS connection and exposes
-    the session-scoped commands.  The KVS-side commit happens via
-    :meth:`dar` (invalidate), :meth:`sar` per key (refresh), or
+    the session-scoped commands, sent straight to the client's
+    :class:`~repro.core.backend.LeaseBackend`.  The KVS-side commit happens
+    via :meth:`dar` (invalidate), :meth:`sar` per key (refresh), or
     :meth:`commit_kvs` (incremental update) -- always *after*
     :meth:`commit_sql`.
     """
 
     def __init__(self, client, connection):
-        self.kvs = client
         self.sql = connection
+        self.kvs = client.server
         self._tracer = get_tracer()
         #: Trace id propagated through every KVS command of this session
         #: (and, via the wire token / shard fan-out, to the servers it
         #: touches).  ``None`` when tracing is disabled -- the no-op path.
         self.trace_id = self._tracer.new_trace() if self._tracer.active else None
         with trace_context(self.trace_id):
-            self.tid = client.gen_id()
+            self.tid = self.kvs.gen_id()
         self._finished = False
         if self.trace_id is not None:
             self._tracer.emit("session.begin", tid=self.tid,
@@ -121,40 +179,15 @@ class WriteSession:
         self._finished = True
         self._end("commit")
 
-    def abort_kvs(self):
-        with trace_context(self.trace_id):
-            self.kvs.abort(self.tid)
-        self._finished = True
-        self._end("abort")
+    # -- RDBMS commit ------------------------------------------------------------------
 
-    # -- RDBMS operations ------------------------------------------------------------
-
-    def begin_sql(self):
-        return self.sql.begin()
-
-    def execute(self, sql, params=()):
-        return self.sql.execute(sql, params)
-
-    def query_one(self, sql, params=()):
-        return self.sql.query_one(sql, params)
-
-    def query_scalar(self, sql, params=()):
-        return self.sql.query_scalar(sql, params)
-
-    def on_commit(self, callback):
-        return self.sql.on_commit(callback)
-
-    def commit_sql(self):
-        self.sql.commit()
+    def commit_sql(self, **options):
+        self.sql.commit(**options)
         if self.trace_id is not None:
             # Emitted only after a successful commit: the auditor's 2PL
             # check treats KVS applies before this event as violations.
             self._tracer.emit("session.sql_commit", tid=self.tid,
                               trace_id=self.trace_id)
-
-    def rollback_sql(self):
-        if self.sql.in_transaction:
-            self.sql.rollback()
 
     # -- cleanup ----------------------------------------------------------------------
 
@@ -184,6 +217,33 @@ class WriteSession:
         self.rollback_sql()
 
 
+@contextmanager
+def attempt(connection_factory, client=None):
+    """One session attempt: the only place a session's connection opens
+    and closes.
+
+    Yields a :class:`WriteSession` on a fresh TID from ``client``'s
+    backend, or a TID-less :class:`SqlSession` when ``client`` is
+    ``None``.  Any failure -- minting the TID included -- abandons the
+    session (leases released, transaction rolled back) and re-raises;
+    the connection is closed either way.
+    """
+    connection = connection_factory()
+    session = None
+    try:
+        if client is None:
+            session = SqlSession(connection)
+        else:
+            session = WriteSession(client, connection)
+        yield session
+    except Exception:
+        if session is not None:
+            session.abandon()
+        raise
+    finally:
+        connection.close()
+
+
 class SessionOutcome:
     """Result of a completed session plus its restart statistics."""
 
@@ -208,6 +268,10 @@ class SessionRunner:
     full cleanup -- release leases, roll back the transaction -- a backoff
     delay, and a restart with a fresh TID, per Section 4.2.  The restart
     count is the metric reported in Table 6.
+
+    With ``client=None`` each attempt is a TID-less :class:`SqlSession`:
+    the lease-free clock technique restarts its write-write conflicts
+    through this same loop.
     """
 
     RETRIABLE = (QuarantinedError, TransactionAbortedError)
@@ -223,13 +287,10 @@ class SessionRunner:
         restarts = 0
         delays = self.backoff.delays()
         while True:
-            connection = self.connection_factory()
-            session = WriteSession(self.client, connection)
             try:
-                result = body(session)
-                return SessionOutcome(result, restarts)
+                with attempt(self.connection_factory, self.client) as session:
+                    return SessionOutcome(body(session), restarts)
             except self.RETRIABLE:
-                session.abandon()
                 restarts += 1
                 tracer = get_tracer()
                 if tracer.active:
@@ -240,11 +301,3 @@ class SessionRunner:
                 except StarvationError:
                     raise StarvationError(restarts)
                 self.clock.sleep(delay)
-            except SessionAbortedError:
-                session.abandon()
-                raise
-            except Exception:
-                session.abandon()
-                raise
-            finally:
-                connection.close()

@@ -126,6 +126,49 @@ class TestDegradedWrites:
         remote.close()
 
 
+class CountingConnections:
+    """A connection factory that counts opens and closes."""
+
+    def __init__(self, db):
+        self.db = db
+        self.opened = 0
+        self.closed = 0
+
+    def __call__(self):
+        self.opened += 1
+        connection = self.db.connect()
+        close = connection.close
+
+        def counted_close():
+            self.closed += 1
+            close()
+
+        connection.close = counted_close
+        return connection
+
+
+class TestDegradedConnections:
+    def test_whole_session_fallback_closes_every_connection(
+        self, chaos_server, users_db
+    ):
+        # A dead cache cannot even mint the session's TID: the leased
+        # attempt must close the connection it opened before the write
+        # falls back to its SQL-only transaction.
+        connections = CountingConnections(users_db)
+        remote = resilient(chaos_server)
+        client = IQInvalidateClient(
+            IQClient(remote, backoff=NoBackoff(max_attempts=50)),
+            connections, backoff=NoBackoff(),
+        )
+        chaos_server.kill()
+        for _ in range(3):
+            client.write(score_body, [KeyChange("Profile1")])
+        assert client.degraded_writes == 3
+        assert read_score(users_db) == 13
+        assert connections.opened == connections.closed
+        remote.close()
+
+
 class TestPostCommitDetach:
     def test_cache_loss_after_sql_commit_never_reruns_sql(
         self, chaos_server, users_db

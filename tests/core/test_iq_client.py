@@ -83,29 +83,29 @@ class TestReadThrough:
 
 class TestGetCached:
     def test_returns_value_or_none(self, iq, client):
-        assert client.get_cached("k") is None
+        assert client.server.iq_get("k").value is None
         iq.store.set("k", b"v")
-        assert client.get_cached("k") == b"v"
+        assert client.server.iq_get("k").value == b"v"
 
 
 class TestPassthroughs:
     def test_write_command_surface(self, iq, client):
-        tid = client.gen_id()
-        client.qar(tid, "k")
-        client.dar(tid)
-        tid = client.gen_id()
+        tid = client.server.gen_id()
+        client.server.qar(tid, "k")
+        client.server.dar(tid)
+        tid = client.server.gen_id()
         iq.store.set("r", b"1")
-        result = client.qaread("r", tid)
+        result = client.server.qaread("r", tid)
         assert result.value == b"1"
-        client.sar("r", b"2", tid)
+        client.server.sar("r", b"2", tid)
         assert iq.store.get("r") == (b"2", 0)
-        tid = client.gen_id()
-        client.iq_delta(tid, "r", "incr", 1)
-        client.commit(tid)
+        tid = client.server.gen_id()
+        client.server.iq_delta(tid, "r", "incr", 1)
+        client.server.commit(tid)
         assert iq.store.get("r") == (b"3", 0)
-        tid = client.gen_id()
-        client.iq_delta(tid, "r", "incr", 10)
-        client.abort(tid)
+        tid = client.server.gen_id()
+        client.server.iq_delta(tid, "r", "incr", 10)
+        client.server.abort(tid)
         assert iq.store.get("r") == (b"3", 0)
 
     def test_default_backoff_is_exponential(self, iq):

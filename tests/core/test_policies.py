@@ -14,6 +14,7 @@ from repro.core.policies import (
     KeyChange,
 )
 from repro.core.session import AcquisitionMode
+from repro.errors import BadValueError
 from repro.kvs.read_lease import ReadLeaseStore
 from repro.util.backoff import NoBackoff
 
@@ -209,6 +210,26 @@ class TestBaselineClients:
         )
         assert store.get("List1") == (b"a,b,", 0)
         assert store.get("Count1") == (b"6", 0)
+
+    @pytest.mark.parametrize("leased", [False, True])
+    def test_unknown_delta_op_is_refused(self, iq, iq_client, users_db,
+                                         leased):
+        """An op outside append/prepend/incr/decr never reaches a
+        session: no SQL commits and the cached value stays."""
+        if leased:
+            cache = iq.store
+            client = IQDeltaClient(iq_client, users_db.connect)
+        else:
+            cache = ReadLeaseStore()
+            client = BaselineDeltaClient(cache, users_db.connect)
+        cache.set("Count1", b"5")
+        with pytest.raises(BadValueError):
+            client.write(
+                score_body, [KeyChange("Count1", deltas=[("multiply", 2)])]
+            )
+        assert cache.get("Count1") == (b"5", 0)
+        fresh = users_db.connect()
+        assert fresh.query_scalar("SELECT score FROM users WHERE id = 1") == 10
 
     def test_delta_invalidate_flag(self, users_db):
         store = ReadLeaseStore()

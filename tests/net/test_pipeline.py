@@ -16,8 +16,6 @@ The pipeline contract under test:
 
 import pytest
 
-from repro.core.iq_client import IQClient, LocalPipeline
-from repro.core.iq_server import IQServer
 from repro.errors import (
     ConnectionLostError,
     ProtocolError,
@@ -321,34 +319,10 @@ def both_ways():
 
 @pytest.mark.parametrize("name", sorted(COMMANDS))
 def test_pipelined_equals_one_at_a_time(both_ways, name):
-    """The wire ``Pipeline`` covers the whole table, like ``LocalPipeline``
-    covers every backend method, with the single-command results."""
+    """The wire ``Pipeline`` covers the whole table, with the
+    single-command results."""
     slots = [i for i, (called, _args) in enumerate(SCRIPT) if called == name]
     assert slots, "SCRIPT has no call of {}".format(name)
     single, piped = both_ways
     for slot in slots:
         assert piped[slot] == single[slot]
-
-
-class TestLocalPipeline:
-    """IQClient.pipeline() over an in-process backend."""
-
-    def test_mirrors_wire_pipeline_semantics(self):
-        client = IQClient(IQServer())
-        pipe = client.pipeline()
-        assert isinstance(pipe, LocalPipeline)
-        holder = client.gen_id()
-        client.qar(holder, "contested")
-        rival = client.gen_id()
-        with pipe:
-            pipe.gen_id().qaread("contested", rival).iq_get("k")
-        fresh_tid, rejected, read = pipe.results
-        assert isinstance(fresh_tid, int)
-        assert isinstance(rejected, QuarantinedError)
-        assert read.has_lease
-
-    def test_wire_backend_gets_wire_pipeline(self, remote):
-        from repro.net.client import Pipeline
-
-        client = IQClient(remote)
-        assert isinstance(client.pipeline(), Pipeline)

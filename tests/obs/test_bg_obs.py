@@ -86,9 +86,9 @@ class TestSeededViolation:
             assert result.has_lease
             # ... while a writer's Q grant arrives.  The injected fault
             # suppresses the I-void, recreating the stale-IQset hole.
-            tid = client.gen_id()
-            client.qar(tid, "hot")
-            client.commit(tid)
+            tid = client.server.gen_id()
+            client.server.qar(tid, "hot")
+            client.server.commit(tid)
         report = auditor.report()
         assert CATEGORY_UNVOIDED_I in report.by_category()
         assert report.by_category()[CATEGORY_UNVOIDED_I] == 1
@@ -99,9 +99,9 @@ class TestSeededViolation:
         with audited() as auditor:
             result = server.iq_get("hot")
             assert result.has_lease
-            tid = client.gen_id()
-            client.qar(tid, "hot")
-            client.commit(tid)
+            tid = client.server.gen_id()
+            client.server.qar(tid, "hot")
+            client.server.commit(tid)
         assert auditor.report().clean, auditor.report().summary()
 
     def test_fault_fires_only_nth_grant(self):
@@ -113,8 +113,8 @@ class TestSeededViolation:
         with audited() as auditor:
             for _ in range(3):
                 result = server.iq_get("hot")
-                tid = client.gen_id()
-                client.qar(tid, "hot")
-                client.commit(tid)
+                tid = client.server.gen_id()
+                client.server.qar(tid, "hot")
+                client.server.commit(tid)
         counts = auditor.report().by_category()
         assert counts.get(CATEGORY_UNVOIDED_I, 0) == 1
