@@ -4,7 +4,7 @@ One experiment.  A BG social-network
 workload with the paper's read-hot mix (Table 5, "Low (1% Write)") is
 driven against a real TCP cache server in its own process, once with
 the IQ invalidate technique and once with the precise-clock technique
-(``repro.clock``).  The architectural difference under test:
+(``ClockClient``).  The architectural difference under test:
 
 * an **IQ-invalidate** read session round-trips through the lease
   table (``iq_get`` checks I/Q lease state under the server lock), and

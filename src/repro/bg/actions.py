@@ -39,7 +39,7 @@ class Technique(enum.Enum):
     INVALIDATE = "invalidate"
     REFRESH = "refresh"
     DELTA = "incremental update"
-    #: Precise-clock self-invalidation (repro.clock): writes only *name*
+    #: Precise-clock self-invalidation (``ClockClient``): writes only *name*
     #: the impacted keys (the commit jumps the clock past their promised
     #: horizons), so the change lists are the invalidate-shaped plain
     #: key lists and values use the JSON encodings.

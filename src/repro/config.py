@@ -116,7 +116,7 @@ class NetConfig:
 
 @dataclass
 class ClockConfig:
-    """Precise-clock self-invalidation (:mod:`repro.clock`).
+    """Precise-clock self-invalidation (:class:`~repro.core.policies.ClockClient`).
 
     Intervals are in commit-clock *ticks* (commits), not seconds: the
     clock only moves when transactions commit, so a quiescent system

@@ -126,7 +126,7 @@ class LeaseBackend(abc.ABC):
         """
         return {key: self.iq_get(key, session=session) for key in keys}
 
-    # -- precise-clock reads (lease-free; repro.clock) -------------------------
+    # -- precise-clock reads (lease-free; ClockClient) ------------------------
 
     def cget(self, key, clock_now, extend=None):
         """Interval read at commit-clock reading ``clock_now``.

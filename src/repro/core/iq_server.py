@@ -269,7 +269,7 @@ class IQServer(LeaseBackend):
         with self._lock:
             return self.leases.redeem_i(key, token)
 
-    # -- precise-clock reads (lease-free; repro.clock) -------------------------
+    # -- precise-clock reads (lease-free; ClockClient) ------------------------
 
     def cget(self, key, clock_now, extend=None):
         """Interval read at commit-clock reading ``clock_now``.

@@ -14,7 +14,7 @@ Three families are provided:
   ``IQDeltaClient``) follow the paper's Section 3/4 protocols and are
   strongly consistent;
 * **the precise-clock client** (:class:`ClockClient`) is the lease-free
-  fourth technique (``repro.clock``): cached values carry a validity
+  fourth technique (after Misra et al.): cached values carry a validity
   interval on the database's commit clock and self-invalidate on expiry,
   so reads inside a valid interval never touch the lease table and
   writes never contact the cache at all;
@@ -491,7 +491,7 @@ class IQDeltaClient(_IQClientBase):
 
 
 # ---------------------------------------------------------------------------
-# Precise-clock client (lease-free, repro.clock)
+# Precise-clock client (lease-free, after Misra et al.)
 # ---------------------------------------------------------------------------
 
 class ClockClient:

@@ -34,7 +34,7 @@ class CacheEntry:
         self.lru_prev = None
         self.lru_next = None
         # Validity interval [valid_from, valid_until) in commit-clock
-        # ticks (precise-clock self-invalidation, repro.clock); ``None``
+        # ticks (precise-clock self-invalidation, ClockClient); ``None``
         # marks an unstamped entry, which ``cget`` treats as a miss.
         self.valid_from = None
         self.valid_until = None

@@ -146,9 +146,9 @@ class _Execution:
         self.executed = []
         self.steps = []
         self.crash = None
+        self.runs = {}
         try:
             self.world, programs = scenario.build()
-            self.runs = {}
             self.order = []
             for program in programs:
                 if program.name in self.runs:
@@ -164,6 +164,8 @@ class _Execution:
             raise
 
     def close(self):
+        for run in self.runs.values():
+            run.close()
         if self.auditor is not None:
             self.auditor.detach(self.tracer)
             self.auditor = None

@@ -177,6 +177,10 @@ class MCRun:
             )
         return label
 
+    def close(self):
+        """Abandon the program mid-run (its execution is closing)."""
+        self._generator.close()
+
     def step(self, executed_prefix):
         """Perform the announced operation; capture the next announcement.
 

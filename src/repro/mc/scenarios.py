@@ -27,29 +27,33 @@ original bug.
 
 from collections import namedtuple
 
-from repro.mc.explorer import replay
-from repro.mc.sessions import (
-    baseline_cas_writer,
-    coalesced_iq_reader,
-    baseline_delta_writer,
-    baseline_dirty_refresher,
+from repro.core.policies import (
+    BaselineDeltaClient,
+    BaselineRefreshClient,
+    IQDeltaClient,
+    IQInvalidateClient,
+)
+from repro.mc.clients import (
+    baseline_client,
     baseline_reader,
-    baseline_trigger_invalidator,
-    clock_abort_writer,
     clock_reader,
     clock_writer,
-    fault_program,
-    iq_abort_refresh_writer,
-    iq_batch_invalidate_writer,
-    iq_delta_writer,
-    iq_invalidate_writer,
+    delta_writer,
+    invalidate_writer,
     iq_reader,
-    iq_refresh_writer,
-    migration_program,
-    naive_clock_reader,
-    reconciler,
-    sharded_delta_writer,
-    sharded_invalidate_writer,
+    refresh_writer,
+)
+from repro.mc.explorer import replay
+from repro.mc.gate import GatedSingleFlight
+from repro.mc.sessions import fault_program, migration_program, reconciler
+from repro.mc.variants import (
+    GuessedCommitClock,
+    JournalAtFailureClient,
+    PrecommitDeltaClient,
+    PrecommitRefreshClient,
+    SequentialQaRClient,
+    UnfencedSingleFlight,
+    UnpoisonedDeltaClient,
 )
 from repro.mc.world import World
 from repro.sharding import Rebalancer
@@ -242,10 +246,12 @@ def _fig2_baseline():
     world = World(keys=("k0",), backend="baseline")
     world.seed("k0", 100)
     return world, [
-        baseline_cas_writer("S1", "k0", "val + 50",
-                            lambda old: int(old) + 50, attempts=2),
-        baseline_cas_writer("S2", "k0", "val * 10",
-                            lambda old: int(old) * 10, attempts=2),
+        refresh_writer("S1", "k0", "val + 50", lambda old: int(old) + 50,
+                       make=baseline_client(BaselineRefreshClient),
+                       retries=2),
+        refresh_writer("S2", "k0", "val * 10", lambda old: int(old) * 10,
+                       make=baseline_client(BaselineRefreshClient),
+                       retries=2),
     ]
 
 
@@ -253,10 +259,10 @@ def _fig2_iq():
     world = World(keys=("k0",), backend="iq")
     world.seed("k0", 100)
     return world, [
-        iq_refresh_writer("S1", "k0", "val + 50",
-                          lambda old: int(old) + 50, attempts=3),
-        iq_refresh_writer("S2", "k0", "val * 10",
-                          lambda old: int(old) * 10, attempts=3),
+        refresh_writer("S1", "k0", "val + 50", lambda old: int(old) + 50,
+                       attempts=3),
+        refresh_writer("S2", "k0", "val * 10", lambda old: int(old) * 10,
+                       attempts=3),
     ]
 
 
@@ -264,7 +270,7 @@ def _fig3_baseline():
     world = World(keys=("k0",), backend="baseline")
     world.seed("k0", 0)
     return world, [
-        baseline_trigger_invalidator("S1", {"k0": "1"}),
+        invalidate_writer("S1", {"k0": "1"}, make=baseline_client()),
         baseline_reader("S2", "k0", attempts=2),
     ]
 
@@ -274,7 +280,7 @@ def _fig3_iq():
     world = World(keys=("k0",), backend="iq", serve_pending=False)
     world.seed("k0", 0)
     return world, [
-        iq_invalidate_writer("S1", {"k0": "1"}, attempts=2),
+        invalidate_writer("S1", {"k0": "1"}, attempts=2),
         iq_reader("S2", "k0", attempts=4),
     ]
 
@@ -286,7 +292,7 @@ def _fig4_baseline():
     world = World(keys=("k0",), backend="baseline")
     world.seed("k0", 0)
     return world, [
-        baseline_trigger_invalidator("S1", {"k0": "1"}),
+        invalidate_writer("S1", {"k0": "1"}, make=baseline_client()),
         baseline_reader("R1", "k0", attempts=2),
         baseline_reader("R2", "k0", attempts=2),
     ]
@@ -299,7 +305,7 @@ def _fig4_iq():
     world = World(keys=("k0",), backend="iq", serve_pending=True)
     world.seed("k0", 0)
     return world, [
-        iq_invalidate_writer("S1", {"k0": "1"}, attempts=2),
+        invalidate_writer("S1", {"k0": "1"}, attempts=2),
         iq_reader("R1", "k0", attempts=4),
         iq_reader("R2", "k0", attempts=4),
     ]
@@ -309,7 +315,9 @@ def _fig6_baseline():
     world = World(keys=("k0",), backend="baseline")
     world.seed("k0", 0)
     return world, [
-        baseline_dirty_refresher("S1", "k0", "val + 1", 1),
+        refresh_writer("S1", "k0", "val + 1", lambda old: int(old) + 1,
+                       make=baseline_client(PrecommitRefreshClient),
+                       abort=True),
         baseline_reader("S2", "k0", attempts=2),
     ]
 
@@ -318,7 +326,8 @@ def _fig6_iq():
     world = World(keys=("k0",), backend="iq")
     world.seed("k0", 0)
     return world, [
-        iq_abort_refresh_writer("S1", "k0", "val + 1"),
+        refresh_writer("S1", "k0", "val + 1", lambda old: int(old) + 1,
+                       attempts=1, abort=True),
         iq_reader("S2", "k0", attempts=4),
     ]
 
@@ -327,7 +336,8 @@ def _fig7_baseline():
     world = World(keys=("k0",), backend="baseline", text_values=True)
     world.seed_db_only("k0", "x")  # cold cache: the figure starts on a miss
     return world, [
-        baseline_delta_writer("S1", "k0", "append", b"d", precommit=True),
+        delta_writer("S1", [("k0", "append", b"d")],
+                     make=baseline_client(PrecommitDeltaClient)),
         baseline_reader("S2", "k0", attempts=2),
     ]
 
@@ -336,7 +346,7 @@ def _fig7_iq():
     world = World(keys=("k0",), backend="iq", text_values=True)
     world.seed_db_only("k0", "x")
     return world, [
-        iq_delta_writer("S1", [("k0", "append", b"d")], attempts=2),
+        delta_writer("S1", [("k0", "append", b"d")], attempts=2),
         iq_reader("S2", "k0", attempts=4),
     ]
 
@@ -345,7 +355,8 @@ def _fig8_baseline():
     world = World(keys=("k0",), backend="baseline", text_values=True)
     world.seed_db_only("k0", "x")
     return world, [
-        baseline_delta_writer("S1", "k0", "append", b"d", precommit=False),
+        delta_writer("S1", [("k0", "append", b"d")],
+                     make=baseline_client(BaselineDeltaClient)),
         baseline_reader("S2", "k0", attempts=2),
     ]
 
@@ -357,7 +368,7 @@ def _fig8_iq():
     world = World(keys=("k0",), backend="iq", text_values=True)
     world.seed_db_only("k0", "x")
     return world, [
-        iq_delta_writer("S1", [("k0", "append", b"d")], attempts=2),
+        delta_writer("S1", [("k0", "append", b"d")], attempts=2),
         iq_reader("S2", "k0", attempts=4),
     ]
 
@@ -370,9 +381,9 @@ def _mix3_inv_refresh_read():
     world = World(keys=("k0",), backend="iq")
     world.seed("k0", 10)
     return world, [
-        iq_invalidate_writer("inv", {"k0": "val + 100"}, attempts=2),
-        iq_refresh_writer("ref", "k0", "val + 7",
-                          lambda old: int(old) + 7, attempts=2),
+        invalidate_writer("inv", {"k0": "val + 100"}, attempts=2),
+        refresh_writer("ref", "k0", "val + 7", lambda old: int(old) + 7,
+                       attempts=2),
         iq_reader("r", "k0", attempts=3),
     ]
 
@@ -381,8 +392,8 @@ def _mix3_inv_delta_read():
     world = World(keys=("k0",), backend="iq")
     world.seed("k0", 10)
     return world, [
-        iq_invalidate_writer("inv", {"k0": "val + 100"}, attempts=2),
-        iq_delta_writer("d", [("k0", "incr", 3)], attempts=2),
+        invalidate_writer("inv", {"k0": "val + 100"}, attempts=2),
+        delta_writer("d", [("k0", "incr", 3)], attempts=2),
         iq_reader("r", "k0", attempts=3),
     ]
 
@@ -391,9 +402,9 @@ def _mix3_refresh_delta_read():
     world = World(keys=("k0",), backend="iq")
     world.seed("k0", 10)
     return world, [
-        iq_refresh_writer("ref", "k0", "val + 7",
-                          lambda old: int(old) + 7, attempts=2),
-        iq_delta_writer("d", [("k0", "incr", 3)], attempts=2),
+        refresh_writer("ref", "k0", "val + 7", lambda old: int(old) + 7,
+                       attempts=2),
+        delta_writer("d", [("k0", "incr", 3)], attempts=2),
         iq_reader("r", "k0", attempts=3),
     ]
 
@@ -424,9 +435,9 @@ def _sharded_mix():
     world.seed(key_a, 10)
     world.seed(key_b, 20)
     return world, [
-        iq_invalidate_writer("inv", {key_a: "val + 100",
+        invalidate_writer("inv", {key_a: "val + 100",
                                      key_b: "val + 100"}, attempts=2),
-        iq_delta_writer("d", [(key_b, "incr", 3)], attempts=2),
+        delta_writer("d", [(key_b, "incr", 3)], attempts=2),
         iq_reader("r", key_a, attempts=3),
     ]
 
@@ -447,7 +458,7 @@ def _fault_suppressed_void():
     return world, [
         fault_program("F", "arm-suppress-i-void",
                       lambda w: w.arm_fault("suppress-i-void"), ("k0",)),
-        iq_invalidate_writer("S1", {"k0": "1"}, attempts=2),
+        invalidate_writer("S1", {"k0": "1"}, attempts=2),
         iq_reader("S2", "k0", attempts=3),
     ]
 
@@ -467,8 +478,8 @@ def _fault_expired_leases():
     return world, [
         fault_program("F", "expire-leases",
                       lambda w: w.expire_leases(), ("k0",)),
-        iq_refresh_writer("S1", "k0", "val + 7",
-                          lambda old: int(old) + 7, attempts=2),
+        refresh_writer("S1", "k0", "val + 7", lambda old: int(old) + 7,
+                       attempts=2),
         iq_reader("S2", "k0", attempts=3),
     ]
 
@@ -486,13 +497,11 @@ def _fuzz_sharded_fault():
     world.seed(key_victim, 20)
     victim = world.backend.shard_name_for(key_victim)
     return world, [
-        sharded_invalidate_writer(
+        invalidate_writer(
             "W", {key_healthy: "val + 100", key_victim: "val + 100"},
-            journal_timing="post", attempts=2,
+            attempts=2,
         ),
-        sharded_delta_writer(
-            "D", [(key_victim, "incr", 3)], poison=True, attempts=2,
-        ),
+        delta_writer("D", [(key_victim, "incr", 3)], attempts=2),
         iq_reader("R1", key_victim, attempts=3),
         iq_reader("R2", key_healthy, attempts=3),
         fault_program("F", "kill:{}".format(victim),
@@ -516,15 +525,16 @@ def _qareg_invalidate(batched):
     between the keys.  Both must explore clean, and ``tests/mc``
     asserts their terminal outcome sets are identical.
     """
-    writer = iq_batch_invalidate_writer if batched else iq_invalidate_writer
+    cls = IQInvalidateClient if batched else SequentialQaRClient
 
     def build():
         world = World(keys=("k0", "k1"), backend="iq")
         world.seed("k0", 10)
         world.seed("k1", 20)
         return world, [
-            writer("W", {"k0": "val + 100", "k1": "val + 100"}, attempts=2),
-            iq_delta_writer("d", [("k1", "incr", 3)], attempts=2),
+            invalidate_writer("W", {"k0": "val + 100", "k1": "val + 100"},
+                              attempts=2, cls=cls),
+            delta_writer("d", [("k1", "incr", 3)], attempts=2),
             iq_reader("r", "k0", attempts=3),
         ]
 
@@ -550,13 +560,11 @@ def _coalesced_fill(serve_pending):
         world = World(keys=("k0",), backend="iq",
                       serve_pending=serve_pending)
         world.seed_db_only("k0", 0)
-        flights = {}
+        flights = GatedSingleFlight(world.gate)
         return world, [
-            iq_invalidate_writer("W", {"k0": "1"}, attempts=2),
-            coalesced_iq_reader("F", "k0", flights, fenced=True,
-                                attempts=3, expect=True),
-            coalesced_iq_reader("R", "k0", flights, fenced=True,
-                                attempts=3, expect=True),
+            invalidate_writer("W", {"k0": "1"}, attempts=2),
+            iq_reader("F", "k0", attempts=3, flights=flights, expect=True),
+            iq_reader("R", "k0", attempts=3, flights=flights, expect=True),
         ]
 
     return build
@@ -581,14 +589,13 @@ def _coalesced_witness(fenced):
     def build():
         world = World(keys=("k0",), backend="iq", serve_pending=False)
         world.seed_db_only("k0", 0)
-        flights = {}
+        registry = GatedSingleFlight if fenced else UnfencedSingleFlight
+        flights = registry(world.gate)
         return world, [
-            iq_invalidate_writer("W", {"k0": "1"}, attempts=1),
-            coalesced_iq_reader("F", "k0", flights, fenced=fenced,
-                                attempts=2),
+            invalidate_writer("W", {"k0": "1"}, attempts=1),
+            iq_reader("F", "k0", attempts=2, flights=flights),
             iq_reader("G", "k0", attempts=2),
-            coalesced_iq_reader("R", "k0", flights, fenced=fenced,
-                                attempts=2, expect=True),
+            iq_reader("R", "k0", attempts=2, flights=flights, expect=True),
         ]
 
     return build
@@ -620,9 +627,10 @@ def _pr2_journal(journal_timing):
         world.kill_shard(victim, label="setup-kill:{}".format(victim))
         world._fault_log.clear()  # setup, not an explored fault step
         return world, [
-            sharded_invalidate_writer(
-                "W", {key_healthy: "1", key_victim: "1"},
-                journal_timing=journal_timing, attempts=2,
+            invalidate_writer(
+                "W", {key_healthy: "1", key_victim: "1"}, attempts=2,
+                cls=(IQInvalidateClient if journal_timing == "post"
+                     else JournalAtFailureClient),
             ),
             fault_program("H", "heal",
                           lambda w: w.heal_shard(victim), (key_victim,)),
@@ -644,11 +652,12 @@ def _pr2_poison(poison):
         # partial-proposal shape poison() exists for.
         world.shard_gates[victim].fail_after["iq_delta"] = 1
         return world, [
-            sharded_delta_writer(
+            delta_writer(
                 "W",
                 [(key_victim, "incr", 1), (key_victim, "incr", 2),
                  (key_healthy, "incr", 5)],
-                poison=poison, attempts=1,
+                attempts=1,
+                cls=IQDeltaClient if poison else UnpoisonedDeltaClient,
             ),
             iq_reader("R", key_victim, attempts=3),
         ]
@@ -704,7 +713,7 @@ def _rebalance_add():
     world.seed(staying, 20)
     return world, [
         migration_program("M", _add_plan),
-        iq_invalidate_writer("W", {moving: "val + 100"}, attempts=2),
+        invalidate_writer("W", {moving: "val + 100"}, attempts=2),
         iq_reader("R", moving, attempts=3),
     ]
 
@@ -724,9 +733,7 @@ def _rebalance_add_kill():
     source = world.backend.shard_name_for(moving)
     return world, [
         migration_program("M", _add_plan),
-        sharded_invalidate_writer(
-            "W", {moving: "val + 100"}, journal_timing="post", attempts=2,
-        ),
+        invalidate_writer("W", {moving: "val + 100"}, attempts=2),
         iq_reader("R", moving, attempts=2),
         fault_program("F", "kill:{}".format(source),
                       lambda w: w.kill_shard(source), (moving, staying)),
@@ -749,8 +756,8 @@ def _rebalance_remove():
 
     return world, [
         migration_program("M", plan),
-        iq_refresh_writer("W", victim, "val + 7",
-                          lambda old: int(old) + 7, attempts=2),
+        refresh_writer("W", victim, "val + 7", lambda old: int(old) + 7,
+                       attempts=2),
         iq_reader("R", victim, attempts=2),
     ]
 
@@ -768,12 +775,12 @@ def _rebalance_unquarantined():
     world.seed(moving, 10)
     return world, [
         migration_program("M", lambda w: _add_plan(w, safe=False)),
-        iq_invalidate_writer("W", {moving: "val + 100"}, attempts=2),
+        invalidate_writer("W", {moving: "val + 100"}, attempts=2),
     ]
 
 
 # ---------------------------------------------------------------------------
-# precise-clock scenarios (repro.clock): the figure races, lease-free
+# precise-clock scenarios (ClockClient): the figure races, lease-free
 # ---------------------------------------------------------------------------
 
 def _fig2_clock():
@@ -822,7 +829,7 @@ def _fig6_clock():
     world = World(keys=("k0",), backend="iq")
     world.seed_db_only("k0", 0)
     return world, [
-        clock_abort_writer("S1", {"k0": "val + 1"}),
+        clock_writer("S1", {"k0": "val + 1"}, abort=True),
         clock_reader("S2", "k0", attempts=2),
     ]
 
@@ -849,7 +856,8 @@ def _clock_missized():
     world.seed_db_only("k0", 0)
     return world, [
         clock_writer("W", {"k0": "1"}, attempts=2),
-        naive_clock_reader("R", "k0", guess=8, attempts=2),
+        clock_reader("R", "k0", attempts=2,
+                     commit_clock=GuessedCommitClock.gated(8)),
     ]
 
 
@@ -870,35 +878,35 @@ _register(Scenario(
     technique="refresh",
     description="Figure 2: R-M-W with gets/cas; KVS order can diverge "
                 "from RDBMS serialization order",
-    schedule="S1 S1 S2 S2 S2 S2 S1 S1",
+    schedule="S1 S1 S1 S2 S2 S2 S2 S2 S1 S1",
     tags=("figure", "baseline"),
 ))
 _register(Scenario(
     "fig2-iq", _fig2_iq, technique="refresh",
     description="Figure 2 under IQ refresh: QaRead/SaR serialize the "
                 "two writers",
-    schedule="S1 S2 S1 S1 S1 S2 S2 S2 S2",
+    schedule="S1 S1 S2 S2 S2 S1 S1 S1 S1 S1 S2 S2 S2 S2 S2 S2 S2",
     tags=("figure", "iq"),
 ))
 _register(Scenario(
     "fig3-baseline", _fig3_baseline, expect_violation=True,
     description="Figure 3: trigger invalidate + snapshot read; a read "
                 "lease granted after the delete fills a stale snapshot",
-    schedule="S1 S1 S2 S2 S1 S2",
+    schedule="S1 S1 S1 S2 S2 S1 S2",
     tags=("figure", "baseline"),
 ))
 _register(Scenario(
     "fig3-iq", _fig3_iq,
     description="Figure 3 under IQ invalidate (eager delete): readers "
                 "back off against the Q lease",
-    schedule="S1 S1 S2 S1 S1 S2 S2 S2",
+    schedule="S1 S1 S1 S1 S2 S1 S1 S2 S2 S2",
     tags=("figure", "iq"),
 ))
 _register(Scenario(
     "fig4-baseline", _fig4_baseline, expect_violation=True,
     description="Figure 4's window, unleased: a filler installs the "
                 "pre-commit value mid-invalidation and it survives",
-    schedule="S1 S1 R1 R1 R1 S1 R2",
+    schedule="S1 S1 S1 R1 R1 R1 S1 R2",
     tags=("figure", "baseline"),
 ))
 _register(Scenario(
@@ -906,21 +914,21 @@ _register(Scenario(
     description="Figure 4: the deferred-delete rearrangement window "
                 "serves pending versions yet never leaks a stale final "
                 "state",
-    schedule="S1 S1 R1 R2 S1 S1",
+    schedule="S1 S1 S1 S1 R1 R2 S1 S1",
     tags=("figure", "iq"),
 ))
 _register(Scenario(
     "fig6-baseline", _fig6_baseline, expect_violation=True,
     technique="refresh",
     description="Figure 6: pre-commit refresh + RDBMS abort = dirty read",
-    schedule="S1 S1 S2",
+    schedule="S1 S1 S1 S2",
     tags=("figure", "baseline"),
 ))
 _register(Scenario(
     "fig6-iq", _fig6_iq, technique="refresh",
     description="Figure 6 under IQ: Abort(TID) releases the Q lease "
                 "without installing the uncommitted value",
-    schedule="S1 S1 S2",
+    schedule="S1 S1 S1 S1 S2 S1 S1",
     tags=("figure", "iq"),
 ))
 _register(Scenario(
@@ -928,14 +936,14 @@ _register(Scenario(
     technique="delta",
     description="Figure 7: unleased delta lost on a miss, then "
                 "overwritten by a stale fill",
-    schedule="S2 S2 S1 S1 S1 S2",
+    schedule="S2 S2 S1 S1 S1 S1 S2",
     tags=("figure", "baseline"),
 ))
 _register(Scenario(
     "fig7-iq", _fig7_iq, technique="delta",
     description="Figure 7 under IQ-delta: the Q lease voids the "
                 "doomed fill's I lease",
-    schedule="S2 S2 S1 S1 S1 S1 S2",
+    schedule="S2 S2 S1 S1 S1 S1 S1 S1 S2",
     tags=("figure", "iq"),
 ))
 _register(Scenario(
@@ -943,14 +951,14 @@ _register(Scenario(
     technique="delta",
     description="Figure 8: post-commit unleased delta applied on top of "
                 "a fresh fill that already contains it",
-    schedule="S1 S1 S2 S2 S2 S1",
+    schedule="S1 S1 S1 S2 S2 S2 S1",
     tags=("figure", "baseline"),
 ))
 _register(Scenario(
     "fig8-iq", _fig8_iq, technique="delta",
     description="Figure 8 under IQ-delta: commit applies the delta "
                 "exactly once",
-    schedule="S1 S1 S2 S1 S1 S2 S2 S2",
+    schedule="S1 S1 S1 S1 S2 S1 S1 S2 S2 S2",
     tags=("figure", "iq"),
 ))
 

@@ -35,6 +35,7 @@ hook sites.
 from repro.config import LeaseConfig
 from repro.core.iq_server import IQServer
 from repro.errors import CacheUnavailableError
+from repro.mc.gate import Gate
 from repro.faults.injector import (
     SITE_LEASE_VOID,
     FaultAction,
@@ -184,6 +185,8 @@ class World:
         self._trace_ids = {}
         self._tracer = get_tracer()
         self._create_schema()
+        #: the proxies gate programs see the world through
+        self.gate = Gate(self)
 
     # -- faults ----------------------------------------------------------------
 
@@ -557,4 +560,5 @@ class World:
             fault_state,
             round(self.clock.now(), 6),
             self._clock_snapshot(),
+            self.gate.fingerprint(),
         )

@@ -579,7 +579,7 @@ for _verb in ("dar", "commit", "abort"):
     register(_terminator(_verb))
 
 
-# -- precise-clock extensions (repro.clock) ----------------------------------
+# -- precise-clock extensions (ClockClient) ----------------------------------
 
 def _enc_cget(key, clock_now, extend=None):
     """Interval read at commit-clock value ``clock_now``."""

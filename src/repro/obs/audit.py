@@ -40,7 +40,7 @@ Invariants checked (violation categories):
     ``shard.rebalance.end`` are stranded until their lease TTL deletes
     them, blocking writers and readers alike on the old owner.
 ``clock-serve-past-bound``
-    The precise-clock technique's one safety rule (:mod:`repro.clock`):
+    The precise-clock technique's one safety rule (:class:`~repro.core.policies.ClockClient`):
     a ``cget`` may serve a value only while the caller's commit-clock
     reading is below the entry's validity bound.  A ``clock.serve``
     whose ``clock`` is at or past its ``expiry`` -- or a ``clock.fill``

@@ -20,13 +20,13 @@ from repro.mc import (
     explore,
     get_scenario,
 )
-from repro.mc.sessions import (
+from repro.mc.clients import (
     clock_reader,
     clock_writer,
-    iq_delta_writer,
-    iq_invalidate_writer,
+    delta_writer,
+    invalidate_writer,
     iq_reader,
-    iq_refresh_writer,
+    refresh_writer,
 )
 from repro.scenarios.report import OracleVerdict, ScenarioReport
 from repro.scenarios.runner import SIZINGS
@@ -38,7 +38,7 @@ def _auto_invalidate():
     world = World(keys=("k0",), backend="iq")
     world.seed("k0", 10)
     return world, [
-        iq_invalidate_writer("W", {"k0": "val + 100"}, attempts=2),
+        invalidate_writer("W", {"k0": "val + 100"}, attempts=2),
         iq_reader("R", "k0", attempts=3),
     ]
 
@@ -47,8 +47,8 @@ def _auto_refresh():
     world = World(keys=("k0",), backend="iq")
     world.seed("k0", 100)
     return world, [
-        iq_refresh_writer("W", "k0", "val + 50",
-                          lambda old: int(old) + 50, attempts=3),
+        refresh_writer("W", "k0", "val + 50", lambda old: int(old) + 50,
+                       attempts=3),
         iq_reader("R", "k0", attempts=3),
     ]
 
@@ -57,7 +57,7 @@ def _auto_delta():
     world = World(keys=("k0",), backend="iq")
     world.seed("k0", 10)
     return world, [
-        iq_delta_writer("W", [("k0", "incr", 1)], attempts=3),
+        delta_writer("W", [("k0", "incr", 1)], attempts=3),
         iq_reader("R", "k0", attempts=3),
     ]
 

@@ -49,16 +49,16 @@ def fig3_explored():
 
 
 @pytest.fixture(scope="module")
-def unfenced_report():
-    return explore(get_scenario("coalesced-unfenced"), max_states=MAX_STATES)
+def unfenced_report(explored):
+    return explored(get_scenario("coalesced-unfenced"))
 
 
 @pytest.mark.parametrize("name", FENCED_SCENARIOS)
-def test_fenced_coalescing_explores_clean(name, request):
+def test_fenced_coalescing_explores_clean(name, request, explored):
     if name == "coalesced-fill-fig3":
         report, _statuses = request.getfixturevalue("fig3_explored")
     else:
-        report = explore(get_scenario(name), max_states=MAX_STATES)
+        report = explored(get_scenario(name))
     print(report.summary())
     assert not report.truncated
     assert report.violation_count == 0, [

@@ -22,6 +22,8 @@ SCENARIOS_WITH_DEDUP = [
     "fig8-baseline",
     "mix3-inv-refresh-read",
     "sharded-mix",
+    "coalesced-fill-fig3",
+    "pr2-journal-post",
 ]
 
 
@@ -58,12 +60,12 @@ class TestDedupedStatesAreInterchangeable:
 class TestKnownDedupTrap:
     def test_pending_fill_value_distinguishes_states(self):
         # Regression for the subtle bug this suite exists to prevent:
-        # in fig3-baseline the reader's queried value is generator-local
-        # between fill-query and fill-set.  Pre-commit and post-commit
-        # query orders reach worlds that look identical unless the
-        # pending value is fingerprinted -- and deduping them hides the
-        # Figure 3 race entirely.
+        # in fig3-baseline the reader's queried value lives on its
+        # thread between its query and its lease_set.  Pre-commit and
+        # post-commit query orders reach worlds that look identical
+        # unless the pending value is fingerprinted -- and deduping them
+        # hides the Figure 3 race entirely.
         report = explore(get_scenario("fig3-baseline"))
         assert report.violation_count > 0
         schedules = {tuple(v.schedule) for v in report.violations}
-        assert ("S1", "S1", "S2", "S2", "S1", "S2") in schedules
+        assert ("S1", "S1", "S1", "S2", "S2", "S1", "S2") in schedules

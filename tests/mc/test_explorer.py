@@ -68,7 +68,7 @@ class TestReplay:
             complete=True,
         )
         assert not result.ok
-        assert ("S1", "S1:sql-update") == result.steps[0]
+        assert ("S1", "S1:sql.begin") == result.steps[0]
         assert result.world.sql_contents()["k0"] == 1
 
     def test_lenient_replay_skips_finished_programs(self):

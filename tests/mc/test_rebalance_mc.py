@@ -15,8 +15,8 @@ from repro.mc import explore, get_scenario, replay
 pytestmark = pytest.mark.mc
 
 
-def test_rebalance_add_is_exhaustively_clean():
-    report = explore(get_scenario("rebalance-add"), max_states=200000)
+def test_rebalance_add_is_exhaustively_clean(explored):
+    report = explored(get_scenario("rebalance-add"))
     assert not report.truncated
     assert report.ok, report.summary()
     assert report.violation_count == 0
@@ -30,8 +30,8 @@ def test_rebalance_remove_is_exhaustively_clean():
     assert report.violation_count == 0
 
 
-def test_rebalance_survives_shard_kill_mid_migration():
-    report = explore(get_scenario("rebalance-add-kill"), max_states=200000)
+def test_rebalance_survives_shard_kill_mid_migration(explored):
+    report = explored(get_scenario("rebalance-add-kill"))
     assert not report.truncated
     assert report.ok, report.summary()
     assert report.violation_count == 0
@@ -51,10 +51,10 @@ def test_unquarantined_migration_loses_committed_write():
     assert not replayed.ok
 
 
-def test_rebalance_exploration_prunes_nontrivially():
+def test_rebalance_exploration_prunes_nontrivially(explored):
     # The scenario must be rich enough that DPOR actually works: both
     # sleep-set pruning and state dedup fire (a trivially sequential
     # scenario would make the clean verdicts above vacuous).
-    report = explore(get_scenario("rebalance-add"), max_states=200000)
+    report = explored(get_scenario("rebalance-add"))
     assert report.sleep_pruned > 0
     assert report.deduped > 0

@@ -16,10 +16,10 @@ amount of stale data to zero") made mechanically checkable at small scale.
 """
 
 from repro.mc import Scenario, World, default_final_checks, explore
-from repro.mc.sessions import (
+from repro.mc.clients import (
+    baseline_client,
     baseline_reader,
-    baseline_trigger_invalidator,
-    iq_invalidate_writer,
+    invalidate_writer,
     iq_reader,
 )
 
@@ -39,10 +39,11 @@ def reader_vs_invalidator(backend, serve_pending=True):
                       serve_pending=serve_pending)
         world.seed("k0", 0)
         if backend == "iq":
-            programs = [iq_invalidate_writer("W", {"k0": "1"}, attempts=2),
+            programs = [invalidate_writer("W", {"k0": "1"}, attempts=2),
                         iq_reader("R", "k0", attempts=4)]
         else:
-            programs = [baseline_trigger_invalidator("W", {"k0": "1"}),
+            programs = [invalidate_writer("W", {"k0": "1"},
+                                          make=baseline_client()),
                         baseline_reader("R", "k0", attempts=2)]
         return world, programs
 

@@ -55,7 +55,7 @@ class TestFigure3:
         assert_replays_to(outcomes, "fig3-iq", 1, "1")
         reader = replay_paper_schedule("fig3-iq").runs["S2"]
         assert reader.history == [
-            "S2:get", "S2:get", "S2:fill-query", "S2:fill-set",
+            "S2:iq_get", "S2:iq_get", "S2:sql.query_scalar", "S2:iq_set",
         ]  # backed off once against the writer's Q lease
 
 

@@ -8,26 +8,16 @@ the RDBMS must hold exactly the writes whose sessions committed.  The
 writer pair also exercises the Q-Q reject path (Figure 5b) inside
 arbitrary schedules.
 
-The reader may also hide its token management behind
-:meth:`IQClient.read_through`; a whole call is then one step, explored
-against a refresh writer exhaustively.
+The reader is the shipped :meth:`IQClient.read_through`, stepped call
+by call through the gate, and is also explored against a refresh writer
+exhaustively.
 """
 
 import hypothesis.strategies as st
 from hypothesis import given, settings
 
-from repro.core.iq_client import IQClient
-from repro.mc import (
-    MCProgram,
-    Op,
-    Scenario,
-    World,
-    explore,
-    get_scenario,
-    replay,
-)
-from repro.mc.sessions import iq_reader, iq_refresh_writer
-from repro.util.backoff import NoBackoff
+from repro.mc import Scenario, World, explore, get_scenario, replay
+from repro.mc.clients import iq_reader, refresh_writer
 
 MIX = get_scenario("mix3-inv-refresh-read")
 
@@ -50,33 +40,19 @@ def test_random_three_session_schedules_never_leave_stale_data(choices):
     assert result.world.sql_contents() == {"k0": expected}
 
 
-def read_through_reader(name, key):
-    """One step: a whole :meth:`IQClient.read_through` call."""
-
-    def factory(world):
-        yield Op("{}:read-through".format(name), kvs=[key], sql=True)
-        client = IQClient(world.backend, backoff=NoBackoff(max_attempts=200))
-        value = client.read_through(
-            key, lambda: str(world.query_committed(key)).encode()
-        )
-        world.observe(name, "cache", key, value)
-
-    return MCProgram(name, factory)
-
-
 def test_reader_through_client_api_matches_low_level():
-    """The same property holds when the reader uses IQClient.read_through
-    (token management hidden) instead of raw commands."""
-    for reader in (read_through_reader, iq_reader):
-        def build(reader=reader):
-            world = World(keys=("k0",), backend="iq")
-            world.seed("k0", 100)
-            return world, [
-                iq_refresh_writer("W", "k0", "val * 2",
-                                  lambda old: int(old) * 2, attempts=2),
-                reader("R", "k0"),
-            ]
+    """The property holds for the shipped read session: the reader is
+    :meth:`IQClient.read_through` itself, stepped call by call."""
 
-        report = explore(Scenario("read-through", build))
-        assert report.ok, [v.messages for v in report.violations]
-        assert report.schedules_explored > 1
+    def build():
+        world = World(keys=("k0",), backend="iq")
+        world.seed("k0", 100)
+        return world, [
+            refresh_writer("W", "k0", "val * 2", lambda old: int(old) * 2,
+                           attempts=2),
+            iq_reader("R", "k0"),
+        ]
+
+    report = explore(Scenario("read-through", build))
+    assert report.ok, [v.messages for v in report.violations]
+    assert report.schedules_explored > 1
