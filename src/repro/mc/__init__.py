@@ -4,8 +4,9 @@ The one engine that interleaves session programs.  It replays the
 paper's race figures under their exact interleavings (each figure
 scenario's ``schedule``, :func:`figure_outcomes`) and turns them into
 *systematic* evidence: it enumerates every interleaving of a bounded
-scenario (N announce-then-perform session programs, optionally
-including fault-delivery pseudo-programs), prunes commuting orders with
+scenario (N shipped clients stepped call by call through the thread
+gate, :mod:`repro.mc.gate`, optionally beside fault-delivery
+pseudo-programs), prunes commuting orders with
 sleep sets (DPOR-lite) and state-fingerprint deduplication, and checks two oracles at every terminal state -- the
 no-stale/no-dirty value checks and the :class:`~repro.obs.audit.
 IQAuditor` protocol state machine.  Any violating schedule is

@@ -361,13 +361,16 @@ class _Explorer:
                 1 for name in alive if name in sleep
             )
             awake = [name for name in alive if name not in sleep]
+            pending = {name: execution.pending(name) for name in alive}
+            # Children replay from scratch: release this execution (its
+            # auditor and any parked program threads) before recursing.
+            execution.close()
             explored = []
             for name in awake:
-                pending = execution.pending(name)
                 child_sleep = frozenset(
                     other for other in (set(sleep) | set(explored))
                     if other != name and independent(
-                        execution.pending(other), pending
+                        pending.get(other), pending[name]
                     )
                 )
                 self._explore(prefix + (name,), child_sleep)

@@ -177,25 +177,29 @@ def client_program(name, fn):
     return GateProgram(name, factory)
 
 
-def gate_step(label, action, **footprint):
+def gate_step(label, action, observe=None, **footprint):
     """Run ``action()`` as one announced step of the calling program.
 
-    For harness work that reads shared state mid-program (a freshness
-    baseline, say); ``footprint`` takes :class:`Op`'s keywords.  Outside
-    a gate program the action simply runs.
+    Every proxied call goes through here; scenarios use it directly for
+    harness work that reads shared state mid-program (a freshness
+    baseline).  ``footprint`` takes :class:`Op`'s keywords; the history
+    keeps ``observe(run, result)`` (default: the result itself).
+    Outside a live gate program the action simply runs.
     """
     run = _current()
     if run is None:
         return action()
     op = Op("{}:{}".format(run.name, label), **footprint)
     run.park(op)
-    result = action()
-    _gate_of(run).record(run.name, op.label, result)
+    gate = run._world.gate
+    try:
+        result = action()
+    except Exception as exc:
+        gate.record(run.name, op.label, ("raised", type(exc).__name__))
+        raise
+    gate.record(run.name, op.label,
+                result if observe is None else observe(run, result))
     return result
-
-
-def _gate_of(run):
-    return run._world.gate
 
 
 # -- result normalisation (fingerprints) ----------------------------------------
@@ -302,22 +306,14 @@ class _Gated:
         return footprint
 
     def _gated(self, name, method):
-        gate = self._gate
-
         def call(*args, **kwargs):
-            run = _current()
-            if run is None:
+            if _current() is None:
                 return method(*args, **kwargs)
-            op = Op("{}:{}{}".format(run.name, self._prefix, name),
-                    **self._footprint(method, args, kwargs))
-            run.park(op)
-            try:
-                result = method(*args, **kwargs)
-            except Exception as exc:
-                gate.record(run.name, op.label, ("raised", type(exc).__name__))
-                raise
-            gate.record(run.name, op.label, self._observe(run, name, result))
-            return result
+            return gate_step(
+                self._prefix + name, lambda: method(*args, **kwargs),
+                observe=lambda run, result: self._observe(run, name, result),
+                **self._footprint(method, args, kwargs)
+            )
 
         return call
 
@@ -400,15 +396,8 @@ class GatedSingleFlight:
         gate.registries.append(self)
 
     def _step(self, name, key, action):
-        run = _current()
-        if run is None:
-            return action()
-        op = Op("{}:flight.{}".format(run.name, name),
-                writes=("flight:{}".format(key),))
-        run.park(op)
-        result = action()
-        self._gate.record(run.name, op.label, result)
-        return result
+        return gate_step("flight." + name, action,
+                         writes=("flight:{}".format(key),))
 
     def _outcome(self, gated):
         """What a ``wait`` on ``gated`` returns: its outcome once

@@ -15,12 +15,14 @@ session state, journals, fault state, observations -- normalized so that
 incidental identifiers (TIDs, lease token numbers) minted in different
 orders by equivalent schedules cannot distinguish equivalent states.
 TIDs are rewritten to the *program names* that own them via
-:meth:`bind_tid`.  The explorer combines this with each program's label
-history, which is what makes fingerprint deduplication sound: two
-prefixes with equal fingerprints have run the same per-program histories
-against the same shared state, so every continuation behaves
-identically (``tests/mc`` verifies this by replaying deduped states both
-ways).
+:meth:`bind_tid`.  The fingerprint also carries the :attr:`gate`'s
+per-program call-result histories and flight registries, and the
+explorer adds each program's label history, which is what makes
+fingerprint deduplication sound: two prefixes with equal fingerprints
+have run the same per-program histories against the same shared state,
+so every continuation of a client that is deterministic given its call
+results behaves identically (``tests/mc`` verifies this by replaying
+deduped states both ways).
 
 **Faults as schedule steps.**  A world can carry fault controls that a
 fault pseudo-program flips at its own schedule step: shard gates
@@ -270,9 +272,6 @@ class World:
         connection.close()
         self.committed_history.setdefault(key, set()).add(value)
 
-    def connect(self):
-        return self.db.connect()
-
     def query_committed(self, key):
         """The latest committed value of ``key`` (fresh connection)."""
         connection = self.db.connect()
@@ -346,11 +345,6 @@ class World:
                 if kind == "cache":
                     reads.append((name, key, value))
         return reads
-
-    def emit(self, name, **fields):
-        """Emit a trace event (session.begin / session.sql_commit / ...)."""
-        if self._tracer.active:
-            self._tracer.emit(name, **fields)
 
     # -- state snapshots -------------------------------------------------------
 

@@ -8,7 +8,8 @@ from repro.mc import explore
 @pytest.fixture(scope="session")
 def explored():
     """``explored(scenario)``: one exhaustive exploration per scenario
-    name per test session, with every violation's details kept.
+    name per test session, with every violation's details and up to 50
+    dedup pairs kept.
 
     Suites that only read a report share it instead of re-running the
     same exploration.
@@ -18,7 +19,8 @@ def explored():
     def run(scenario):
         if scenario.name not in reports:
             reports[scenario.name] = explore(
-                scenario, max_states=200000, max_violations=10 ** 9
+                scenario, max_states=200000, max_violations=10 ** 9,
+                record_dedup_pairs=50,
             )
         return reports[scenario.name]
 

@@ -40,10 +40,10 @@ def _terminal_state(scenario, prefix):
 
 class TestDedupedStatesAreInterchangeable:
     @pytest.mark.parametrize("name", SCENARIOS_WITH_DEDUP)
-    def test_both_prefixes_reach_the_same_terminal_state(self, name):
+    def test_both_prefixes_reach_the_same_terminal_state(self, name,
+                                                          explored):
         scenario = get_scenario(name)
-        report = explore(scenario, max_states=200000,
-                         record_dedup_pairs=50)
+        report = explored(scenario)
         assert report.dedup_pairs, (
             "{} recorded no dedup pairs; pick a denser scenario".format(name)
         )

@@ -22,8 +22,8 @@ MIXES = [
 
 class TestMixesAreClean:
     @pytest.mark.parametrize("name", MIXES)
-    def test_exhaustive_zero_violations(self, name):
-        report = explore(get_scenario(name), max_states=200000)
+    def test_exhaustive_zero_violations(self, name, explored):
+        report = explored(get_scenario(name))
         print(report.summary())  # counts logged per the acceptance bar
         assert not report.truncated, "space unexpectedly large"
         assert report.violation_count == 0, [
@@ -32,13 +32,13 @@ class TestMixesAreClean:
         assert report.schedules_explored > 1
 
     @pytest.mark.parametrize("name", MIXES)
-    def test_reductions_bite(self, name):
-        report = explore(get_scenario(name), max_states=200000)
+    def test_reductions_bite(self, name, explored):
+        report = explored(get_scenario(name))
         assert report.sleep_pruned > 0
         assert report.deduped > 0
 
-    def test_sharded_mix_clean(self):
-        report = explore(get_scenario("sharded-mix"), max_states=200000)
+    def test_sharded_mix_clean(self, explored):
+        report = explored(get_scenario("sharded-mix"))
         print(report.summary())
         assert report.ok, [v.messages for v in report.violations]
 

@@ -17,9 +17,8 @@ pytestmark = pytest.mark.mc
 
 
 class TestPostCommitJournaling:
-    def test_reviewed_semantics_explore_clean(self):
-        report = explore(get_scenario("pr2-journal-post"),
-                         max_states=200000)
+    def test_reviewed_semantics_explore_clean(self, explored):
+        report = explored(get_scenario("pr2-journal-post"))
         print(report.summary())
         assert not report.truncated
         assert report.violation_count == 0, [

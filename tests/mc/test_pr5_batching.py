@@ -41,17 +41,16 @@ def _outcome_set(name, max_states=200000):
 
 
 class TestBatchedQaregEquivalence:
-    def test_batched_explores_clean(self):
-        report = explore(get_scenario("qareg-batched"), max_states=200000)
+    def test_batched_explores_clean(self, explored):
+        report = explored(get_scenario("qareg-batched"))
         print(report.summary())
         assert not report.truncated
         assert report.violation_count == 0, [
             (list(v.schedule), v.messages) for v in report.violations
         ]
 
-    def test_sequential_twin_explores_clean(self):
-        report = explore(get_scenario("qareg-sequential"),
-                         max_states=200000)
+    def test_sequential_twin_explores_clean(self, explored):
+        report = explored(get_scenario("qareg-sequential"))
         print(report.summary())
         assert not report.truncated
         assert report.violation_count == 0, [

@@ -23,8 +23,8 @@ def test_rebalance_add_is_exhaustively_clean(explored):
     assert report.schedules_explored > 50  # genuinely many interleavings
 
 
-def test_rebalance_remove_is_exhaustively_clean():
-    report = explore(get_scenario("rebalance-remove"), max_states=200000)
+def test_rebalance_remove_is_exhaustively_clean(explored):
+    report = explored(get_scenario("rebalance-remove"))
     assert not report.truncated
     assert report.ok, report.summary()
     assert report.violation_count == 0
