@@ -127,6 +127,11 @@ class _Run:
             self.finished = True
             self._parked.release()
 
+    def start(self):
+        """Explorer thread: run the program up to its first announcement."""
+        self.thread.start()
+        self._parked.acquire()
+
     def park(self, op):
         """Program thread: announce ``op`` and wait for its grant."""
         self.announced = op
@@ -162,8 +167,7 @@ def client_program(name, fn):
 
     def factory(world):
         run = _Run(name, fn, world)
-        run.thread.start()
-        run._parked.acquire()
+        run.start()
         try:
             while not run.finished:
                 yield run.announced
@@ -375,10 +379,6 @@ class _GatedFlight:
     def resolved(self):
         return self.flight.resolved
 
-    @property
-    def outcome(self):
-        return self.flight.outcome
-
 
 class GatedSingleFlight:
     """A :class:`~repro.core.singleflight.SingleFlight` shared by
@@ -438,13 +438,6 @@ class GatedSingleFlight:
 
     def note(self, served):
         self._real.note(served)
-
-    def in_flight(self):
-        return self._real.in_flight()
-
-    @property
-    def coalesced(self):
-        return self._real.coalesced
 
     def fingerprint(self):
         registered = []
