@@ -6,11 +6,12 @@ scenario's ``schedule``, :func:`figure_outcomes`) and turns them into
 *systematic* evidence: it enumerates every interleaving of a bounded
 scenario (N shipped clients stepped call by call through the thread
 gate, :mod:`repro.mc.gate`, optionally beside fault-delivery
-pseudo-programs), prunes commuting orders with
-sleep sets (DPOR-lite) and state-fingerprint deduplication, and checks two oracles at every terminal state -- the
-no-stale/no-dirty value checks and the :class:`~repro.obs.audit.
-IQAuditor` protocol state machine.  Any violating schedule is
-delta-debugged down to a 1-minimal replayable script.
+pseudo-programs), prunes commuting orders with sleep sets (DPOR-lite)
+and state-fingerprint deduplication, and checks two oracles at every
+terminal state -- the no-stale/no-dirty value checks and the
+:class:`~repro.obs.audit.IQAuditor` protocol state machine.  Any
+violating schedule is delta-debugged down to a 1-minimal replayable
+script.
 
 Entry points::
 

@@ -60,7 +60,7 @@ def _backoff(attempts):
     return NoBackoff(max_attempts=attempts - 1)
 
 
-# -- client factories: ``make(world)`` -> a consistency client --------------------
+# -- client factories: ``make(world)`` -> a consistency client ----------------
 
 def iq_client(cls=IQInvalidateClient, attempts=3,
               mode=AcquisitionMode.DURING, flights=None):
@@ -106,7 +106,7 @@ def clock_client(attempts=2, commit_clock=None):
     return make
 
 
-# -- the two program shapes ---------------------------------------------------------
+# -- the two program shapes ---------------------------------------------------
 
 def reader(name, key, make, expect=False):
     """``make(world).read(key, compute)``, ``compute`` a gated query.
@@ -188,7 +188,7 @@ def writer(name, make, assignments, changes, done, abort=False, retries=1):
     return client_program(name, fn)
 
 
-# -- per-technique shorthands ----------------------------------------------------
+# -- per-technique shorthands -------------------------------------------------
 
 def iq_reader(name, key, attempts=3, flights=None, expect=False):
     return reader(name, key, iq_client(attempts=attempts, flights=flights),

@@ -206,7 +206,7 @@ def gate_step(label, action, observe=None, **footprint):
     return result
 
 
-# -- result normalisation (fingerprints) ----------------------------------------
+# -- result normalisation (fingerprints) --------------------------------------
 
 _PLAIN = (type(None), bool, int, float, str, bytes)
 #: result fields minted per execution: only their presence is state
@@ -236,7 +236,7 @@ def _normalise(value):
     return (type(value).__name__,) + tuple(fields)
 
 
-# -- proxies --------------------------------------------------------------------
+# -- proxies ------------------------------------------------------------------
 
 _SIGNATURES = {}
 
@@ -427,9 +427,8 @@ class GatedSingleFlight:
         return self._step("join", key, join)
 
     def unregister(self, key, flight):
-        return self._step(
-            "unregister", key, lambda: self._real.unregister(key, flight.flight)
-        )
+        return self._step("unregister", key,
+                          lambda: self._real.unregister(key, flight.flight))
 
     def abandon(self, key, flight):
         return self._step(
