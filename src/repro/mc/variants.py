@@ -30,7 +30,7 @@ __all__ = [
 
 class SequentialQaRClient(IQInvalidateClient):
     """``qareg-sequential``: one ``QaR`` per key, never a batched
-    ``qareg`` (the PR 5 twin the batched acquisition must equal)."""
+    ``qareg`` (the twin the batched acquisition must equal)."""
 
     def _batch_acquire(self, session, changes, pending):
         return False
@@ -41,9 +41,10 @@ class JournalAtFailureClient(SequentialQaRClient):
     phase is journaled at failure time, not after the SQL commit.
 
     A reconcile pass can then consume the entry and delete the key
-    before the commit, and a reader re-caches the pre-commit value (the
-    journaling order PR 2's review rejected).  Acquisition is per key,
-    because ``_guard_key`` is the per-key path's failure site.
+    before the commit, and a reader re-caches the pre-commit value:
+    the journaling order the sharded tier rejected as unsafe.
+    Acquisition is per key, because ``_guard_key`` is the per-key
+    path's failure site.
     """
 
     def _guard_key(self, change, operation, pending=None):
@@ -53,7 +54,7 @@ class JournalAtFailureClient(SequentialQaRClient):
 class UnpoisonedDeltaClient(IQDeltaClient):
     """``pr2-poison-missing``: a multi-delta proposal that failed part
     way does not poison its shard's leg, so the commit applies a
-    partial delta list (rejected in PR 2)."""
+    partial delta list (why the sharded tier poisons such legs)."""
 
     def _poison_shard(self, session, key):
         pass
