@@ -138,8 +138,7 @@ class BGActions:
     def _validate(self, item, observed, floors, kind):
         if self.log is None or floors is None or observed is None:
             return True
-        end = self.log.read_end()
-        return self.log.validate(item, observed, floors, end, kind=kind)
+        return self.log.validate(item, observed, floors, kind=kind)
 
     # -- RDBMS compute functions (read-session misses) ------------------------------
 

@@ -12,6 +12,7 @@ that member's profile counters, which is exactly the contention the
 paper's races live on.
 """
 
+import bisect
 import threading
 
 
@@ -49,6 +50,9 @@ class FriendshipRegistry:
         self._pending_in = {m: set() for m in graph.member_ids()}
         #: canonical pairs currently claimed by an in-flight write action
         self._claimed = set()
+        #: sorted invitees holding at least one unclaimed invitation: the
+        #: sweep in claim_pending looks here instead of probing everyone
+        self._open_invitees = []
 
     # -- selection ---------------------------------------------------------------
 
@@ -97,13 +101,15 @@ class FriendshipRegistry:
                 claim = self._try_claim_pending_of(invitee, kind)
                 if claim is not None:
                     return claim
+            # The first invitee at or after ``start``, wrapping around,
+            # that holds an unclaimed invitation.
             start = rng.randrange(members)
-            for offset in range(members):
-                invitee = (start + offset) % members
-                claim = self._try_claim_pending_of(invitee, kind)
-                if claim is not None:
-                    return claim
-            return None
+            index = self._open_invitees
+            if not index:
+                return None
+            at = bisect.bisect_left(index, start)
+            invitee = index[at] if at < len(index) else index[0]
+            return self._try_claim_pending_of(invitee, kind)
 
     def _try_claim_pending_of(self, invitee, kind):
         """Caller holds the lock: claim one of ``invitee``'s invitations."""
@@ -111,8 +117,25 @@ class FriendshipRegistry:
             pair = _canonical(inviter, invitee)
             if pair not in self._claimed:
                 self._claimed.add(pair)
+                self._reindex(invitee)
                 return ClaimedPair(inviter, invitee, kind)
         return None
+
+    def _reindex(self, invitee):
+        """Caller holds the lock: keep ``invitee`` in the sorted index
+        exactly while it holds an unclaimed invitation."""
+        claimed = self._claimed
+        holds = any(
+            _canonical(inviter, invitee) not in claimed
+            for inviter in self._pending_in[invitee]
+        )
+        index = self._open_invitees
+        at = bisect.bisect_left(index, invitee)
+        listed = at < len(index) and index[at] == invitee
+        if holds and not listed:
+            index.insert(at, invitee)
+        elif listed and not holds:
+            del index[at]
 
     def claim_confirmed(self, rng, attempts=16):
         """Claim a confirmed friendship for Thaw Friendship, or None."""
@@ -138,19 +161,21 @@ class FriendshipRegistry:
         pair = _canonical(claim.inviter, claim.invitee)
         with self._lock:
             self._claimed.discard(pair)
-            if not succeeded:
-                return
-            if claim.kind == "invite":
-                self._pending_in[claim.invitee].add(claim.inviter)
-            elif claim.kind == "accept":
-                self._pending_in[claim.invitee].discard(claim.inviter)
-                self._friends[claim.inviter].add(claim.invitee)
-                self._friends[claim.invitee].add(claim.inviter)
-            elif claim.kind == "reject":
-                self._pending_in[claim.invitee].discard(claim.inviter)
-            elif claim.kind == "thaw":
-                self._friends[claim.inviter].discard(claim.invitee)
-                self._friends[claim.invitee].discard(claim.inviter)
+            if succeeded:
+                if claim.kind == "invite":
+                    self._pending_in[claim.invitee].add(claim.inviter)
+                elif claim.kind == "accept":
+                    self._pending_in[claim.invitee].discard(claim.inviter)
+                    self._friends[claim.inviter].add(claim.invitee)
+                    self._friends[claim.invitee].add(claim.inviter)
+                elif claim.kind == "reject":
+                    self._pending_in[claim.invitee].discard(claim.inviter)
+                elif claim.kind == "thaw":
+                    self._friends[claim.inviter].discard(claim.invitee)
+                    self._friends[claim.invitee].discard(claim.inviter)
+            # The pair's invitation (a pair is never pending the other
+            # way) may have become claimable again, or gone.
+            self._reindex(claim.invitee)
 
     # -- introspection ------------------------------------------------------------
 

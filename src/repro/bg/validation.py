@@ -14,8 +14,8 @@ friend set):
   anything, records the item's post-commit value from an RDBMS
   ``on_commit`` hook (so recording order equals commit order), and calls
   :meth:`write_end` after its KVS operations complete;
-* a read action brackets itself with :meth:`read_begin` /
-  :meth:`read_end` and validates each observed value.
+* a read action calls :meth:`read_begin` before its KVS reads and
+  validates each observed value.
 
 A read observing value ``v`` over window ``[floor, end]`` is *acceptable*
 when ``v`` equals the item's committed value at some sequence point in the
@@ -26,52 +26,51 @@ mid-flight write session may serialize before it and legitimately observe
 the pre-write value.  Anything outside the window is unpredictable data
 (stale): exactly what Tables 1 and 7 count.
 
-A timeline keeps only the history some window can still reach: the last
-value at or before the earliest floor that is open (any read whose floors
-are still held) or could yet be handed out (an in-flight writer's
-begin-point, or now), and everything after it.  Older entries are dropped
-as new ones are recorded, so a run's memory follows its concurrency, not
-its length, and no verdict differs from the untrimmed log's.
+A timeline is a forward-linked chain of immutable versions.  A read
+window holds the version current at its floor and walks forward to its
+end, so reads take no lock unless a writer of the item is in flight or
+the item's newest version is newer than the sequence the reader read.  A
+writer links its version before it publishes its sequence number, so a
+walk bounded by a published sequence never meets a half-recorded write.
+The log itself anchors only each item's newest version and the version
+current at each in-flight writer's begin-point; a version no window or
+anchor reaches is freed by refcount, so a run's memory follows its
+concurrency, not its length.
 """
 
-import collections
 import itertools
 import threading
 
 
-class _ItemTimeline:
-    """Committed value history + in-flight writer bookkeeping for one item."""
+class _Version:
+    """One committed value of an item; ``next`` is linked once, by the
+    writer of the following value."""
 
-    __slots__ = ("history", "inflight")
+    __slots__ = ("seq", "value", "next")
+
+    def __init__(self, seq, value):
+        self.seq = seq
+        self.value = value
+        self.next = None
+
+
+class _ItemTimeline:
+    """Newest version + in-flight writer anchors for one item."""
+
+    __slots__ = ("latest", "inflight")
 
     def __init__(self, initial_seq, initial_value):
-        #: list of (seq, value), ascending by seq; trimmed by ``record``
-        self.history = [(initial_seq, initial_value)]
-        #: write handle id -> begin seq
+        self.latest = _Version(initial_seq, initial_value)
+        #: write handle id -> (begin seq, version current at begin seq)
         self.inflight = {}
-
-    def window(self, floor, end):
-        """Values held over ``[floor, end]``, newest first: everything
-        committed inside the window, then the value current at ``floor``."""
-        for seq, value in reversed(self.history):
-            if seq <= end:
-                yield value
-                if seq <= floor:
-                    return
 
 
 class _ReadWindow(dict):
     """``{item: floor}`` of one read, as :meth:`ValidationLog.read_begin`
-    returns it.  The window stays open -- the log keeps what its floors
-    can reach -- for as long as the reader holds this object."""
+    returns it; ``heads`` maps each registered item to the version
+    current at its floor."""
 
-    # Both set by read_begin (one per read action: no __init__ frame).
-    __slots__ = ("_token", "_closed")
-
-    def __del__(self):
-        # May run in any thread at any point, so it only queues; the log
-        # forgets the window under its own lock.
-        self._closed.append(self._token)
+    __slots__ = ("heads",)
 
 
 class WriteHandle:
@@ -94,16 +93,16 @@ class ValidationLog:
     def __init__(self):
         self._lock = threading.Lock()
         self._seq = itertools.count(1)
+        #: the newest published sequence: every version at or below it
+        #: is linked into its item's chain
         self._current_seq = 0
         self._items = {}
         self._handles = itertools.count(1)
-        self._windows = itertools.count(1)
-        #: token of each live read window -> its lowest floor
-        self._open = {}
-        #: tokens of dropped read windows, not yet removed from _open
-        self._closed = collections.deque()
-        # statistics
-        self._reads = 0
+        # ``next()`` on an itertools.count is one atomic step, so
+        # validations count without the lock; the count is read by
+        # drawing from it too (see _reads_taken).
+        self._read_ticks = itertools.count()
+        self._uncounted_ticks = 0
         self._unpredictable = 0
         self._unpredictable_by_item_kind = {}
 
@@ -129,37 +128,27 @@ class ValidationLog:
             for item in items:
                 timeline = self._items.get(item)
                 if timeline is not None:
-                    timeline.inflight[handle.handle_id] = begin_seq
+                    timeline.inflight[handle.handle_id] = (
+                        begin_seq, timeline.latest
+                    )
             return handle
 
     def record(self, item, value):
-        """Record an item's new committed value (call from on_commit).
-
-        Also drops the history no window can reach any more: all but the
-        newest entry at or before the earliest floor that is open or could
-        still be handed out.
-        """
+        """Record an item's new committed value (call from on_commit)."""
         with self._lock:
-            seq = next(self._seq)
-            self._current_seq = seq
-            timeline = self._items.get(item)
-            if timeline is None:
-                return
-            history = timeline.history
-            history.append((seq, value))
-            self._forget_closed()
-            reach = min(
-                [seq, *timeline.inflight.values(), *self._open.values()]
-            )
-            for index in range(len(history) - 1, 0, -1):
-                if history[index][0] <= reach:
-                    del history[:index]
-                    break
+            self._current_seq = self._link(item, value)
 
-    def _forget_closed(self):
-        closed = self._closed
-        while closed:
-            del self._open[closed.popleft()]
+    def _link(self, item, value):
+        """Caller holds the lock: link ``value`` as the item's newest
+        version under a fresh sequence number, which the caller then
+        publishes."""
+        seq = next(self._seq)
+        timeline = self._items.get(item)
+        if timeline is not None:
+            version = _Version(seq, value)
+            timeline.latest.next = version
+            timeline.latest = version
+        return seq
 
     def write_end(self, handle):
         """The write session's KVS operations are complete."""
@@ -175,66 +164,102 @@ class ValidationLog:
         """Capture per-item window floors at read start.
 
         Returns ``{item: floor_seq}`` where the floor is backed up to the
-        begin-seq of the oldest in-flight writer of the item.  Hold the
-        returned mapping until the read's last :meth:`validate`.
+        begin-seq of the oldest in-flight writer of the item.  Pass the
+        returned mapping to :meth:`validate`.
         """
+        # Sequence first, writers second: a writer that was in flight at
+        # the sequence read and is gone by the check recorded either
+        # before it (its value is current at the floor) or after it (the
+        # newest version is then newer than the floor), so an empty
+        # in-flight map plus a newest version at or below the floor means
+        # the floor is what a read_begin under the lock would return.
+        current = self._current_seq
+        window = _ReadWindow()
+        heads = window.heads = {}
+        timelines = self._items
+        for item in items:
+            timeline = timelines.get(item)
+            if timeline is not None:
+                if timeline.inflight:
+                    return self._read_begin_locked(items)
+                head = timeline.latest
+                if head.seq > current:
+                    return self._read_begin_locked(items)
+                heads[item] = head
+            window[item] = current
+        return window
+
+    def _read_begin_locked(self, items):
         with self._lock:
-            if self._closed:
-                self._forget_closed()
-            floors = _ReadWindow()
-            floors._closed = self._closed
-            floors._token = next(self._windows)
-            current = lowest = self._current_seq
+            current = self._current_seq
+            window = _ReadWindow()
+            heads = window.heads = {}
             for item in items:
-                timeline = self._items.get(item)
                 floor = current
-                if timeline is not None and timeline.inflight:
-                    floor = min(current, min(timeline.inflight.values()))
-                    lowest = min(lowest, floor)
-                floors[item] = floor
-            self._open[floors._token] = lowest
-            return floors
+                timeline = self._items.get(item)
+                if timeline is not None:
+                    head = timeline.latest
+                    for begin, anchor in timeline.inflight.values():
+                        if begin < floor:
+                            floor, head = begin, anchor
+                    heads[item] = head
+                window[item] = floor
+            return window
 
     def read_end(self):
         """The end-of-window sequence."""
-        with self._lock:
-            return self._current_seq
+        return self._current_seq
 
-    def acceptable_values(self, item, floor, end):
-        """The set of values ``item`` legitimately held over the window."""
-        with self._lock:
-            timeline = self._items.get(item)
-            if timeline is None:
-                return None
-            return set(timeline.window(floor, end))
+    def acceptable_values(self, item, window, end):
+        """The set of values ``item`` legitimately held over ``window``
+        (as :meth:`read_begin` returned it) up to sequence ``end``."""
+        version = window.heads.get(item)
+        if version is None:
+            return None
+        values = set()
+        while version is not None and version.seq <= end:
+            values.add(version.value)
+            version = version.next
+        return values
 
-    def validate(self, item, observed, floors, end, kind=None):
-        """Check one observed value; returns True when acceptable."""
-        with self._lock:
-            self._reads += 1
-            timeline = self._items.get(item)
-            if timeline is None:
+    def validate(self, item, observed, window, end=None, kind=None):
+        """Check one observed value against ``window`` (as
+        :meth:`read_begin` returned it); returns True when acceptable.
+
+        ``end`` defaults to the sequence published now.
+        """
+        if end is None:
+            end = self._current_seq
+        next(self._read_ticks)
+        version = window.heads.get(item)
+        if version is None:
+            return True
+        # Forward from the version current at the floor: everything
+        # committed up to ``end``.
+        while version is not None and version.seq <= end:
+            if version.value == observed:
                 return True
-            floor = floors[item]
-            # timeline.window(), unrolled: this runs once per read
-            for seq, value in reversed(timeline.history):
-                if seq <= end:
-                    if value == observed:
-                        return True
-                    if seq <= floor:
-                        break
+            version = version.next
+        with self._lock:
             self._unpredictable += 1
             label = kind or (item[0] if isinstance(item, tuple) else str(item))
             self._unpredictable_by_item_kind[label] = (
                 self._unpredictable_by_item_kind.get(label, 0) + 1
             )
-            return False
+        return False
 
     # -- reporting ----------------------------------------------------------------------
 
+    def _reads_taken(self):
+        """Caller holds the lock: validations counted since the last
+        reset.  Reading draws one tick itself, remembered as uncounted."""
+        reads = next(self._read_ticks) - self._uncounted_ticks
+        self._uncounted_ticks += 1
+        return reads
+
     def reads(self):
         with self._lock:
-            return self._reads
+            return self._reads_taken()
 
     def unpredictable_reads(self):
         with self._lock:
@@ -243,14 +268,26 @@ class ValidationLog:
     def unpredictable_percentage(self):
         """Percentage of validated reads that observed unpredictable data."""
         with self._lock:
-            if self._reads == 0:
+            reads = self._reads_taken()
+            if reads == 0:
                 return 0.0
-            return 100.0 * self._unpredictable / self._reads
+            return 100.0 * self._unpredictable / reads
 
     def history_size(self):
-        """History entries currently kept, over all items."""
+        """Versions the log itself still anchors, over all items: from
+        the oldest in-flight writer's begin-point (or the newest version)
+        to the newest."""
         with self._lock:
-            return sum(len(t.history) for t in self._items.values())
+            size = 0
+            for timeline in self._items.values():
+                version = timeline.latest
+                for _begin, anchor in timeline.inflight.values():
+                    if anchor.seq < version.seq:
+                        version = anchor
+                while version is not None:
+                    size += 1
+                    version = version.next
+            return size
 
     def breakdown(self):
         """Unpredictable counts per item kind (diagnostics)."""
@@ -259,6 +296,6 @@ class ValidationLog:
 
     def reset_counters(self):
         with self._lock:
-            self._reads = 0
+            self._uncounted_ticks = next(self._read_ticks) + 1
             self._unpredictable = 0
             self._unpredictable_by_item_kind.clear()

@@ -11,6 +11,10 @@ import json
 
 from repro.errors import BadValueError
 
+#: ``json.loads`` without its whitespace scans: a value ``encode`` wrote
+#: has none, so the raw decoder consumes it whole in one call.
+_raw_decode = json.JSONDecoder().raw_decode
+
 
 def encode(value):
     """Serialize an application value to bytes.
@@ -39,7 +43,16 @@ def decode(data):
     if not isinstance(data, bytes):
         raise BadValueError("decode expects bytes, got {}".format(type(data)))
     if data.startswith(b"j:"):
-        return json.loads(data[2:].decode("utf-8"))
+        text = data[2:].decode("utf-8")
+        try:
+            value, end = _raw_decode(text)
+        except Exception:
+            end = -1
+        if end != len(text):
+            # Whitespace, trailing data or a parse error: json.loads
+            # gives the value or raises exactly as it always has.
+            return json.loads(text)
+        return value
     try:
         return int(data.decode("ascii"))
     except (UnicodeDecodeError, ValueError):

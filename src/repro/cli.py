@@ -175,10 +175,11 @@ def _cmd_metrics(args):
         technique=Technique.INVALIDATE, mix=HIGH_WRITE_MIX,
     )
     system.runner.run(threads=args.threads, ops_per_thread=args.ops)
-    # The server's cache counters and the consistency client's degraded
-    # counters live in separate registries (one stats domain per server,
-    # like a memcached process); render both.
-    print(system.cache.stats.registry.render_prometheus(), end="")
+    # The server's cache counters (plain ints, mirrored into a registry
+    # here) and the consistency client's degraded counters are separate
+    # stats domains (one per server, like a memcached process); render
+    # both.
+    print(system.cache.stats.export().render_prometheus(), end="")
     print(system.consistency_client.metrics.render_prometheus(), end="")
     # The engine counts in plain ints under its latch; mirror them into a
     # registry only here, at export time.

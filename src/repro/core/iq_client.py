@@ -72,14 +72,14 @@ class IQClient:
             return self._read_through(key, compute, session, tracer)
 
     def _read_through(self, key, compute, session, tracer):
-        delays = self.backoff.delays()
-        coalesce = self.flights is not None and session is None
+        delays = None  # the backoff policy, drawn on the first back-off
         while True:
             result = self.server.iq_get(key, session=session)
-            if result.is_hit:
+            if result.value is not None:
                 if tracer.active:
                     tracer.emit("client.read", key=key, outcome="hit")
                 return result.value
+            coalesce = self.flights is not None and session is None
             if result.has_lease:
                 if coalesce:
                     return self._fill(key, compute, result.token, tracer)
@@ -97,6 +97,8 @@ class IQClient:
             if result.backoff:
                 if tracer.active:
                     tracer.emit("client.backoff", key=key)
+                if delays is None:
+                    delays = self.backoff.delays()
                 delay = next(delays)
                 flight = self.flights.join(key) if coalesce else None
                 if flight is not None:

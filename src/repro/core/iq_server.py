@@ -151,6 +151,8 @@ class IQServer(LeaseBackend):
                  tid_start=1):
         self.clock = clock or SystemClock()
         self.stats = CacheStats()
+        #: The server's own counters, bumped under ``_lock``.
+        self._counts = self.stats.cell()
         self.store = CacheStore(
             kvs_config or KVSConfig(), clock=self.clock, stats=self.stats
         )
@@ -200,7 +202,7 @@ class IQServer(LeaseBackend):
         lease conflict: abort, restart with a fresh (post-flush) TID.
         """
         if tid <= self._tid_watermark:
-            self.stats.incr("lease_aborts")
+            self._counts.lease_aborts += 1
             raise QuarantinedError(key)
 
     def _handle_q_expiry(self, key, tid):
@@ -243,7 +245,7 @@ class IQServer(LeaseBackend):
                         return IQGetResult(value=value)
             hit = self.store.get(key)
             if hit is not None:
-                return IQGetResult(value=hit[0])
+                return IQGetResult(hit[0])
             token = self.leases.request_i(key)
             if token is None:
                 return IQGetResult(backoff=True)
@@ -253,7 +255,7 @@ class IQServer(LeaseBackend):
         """Command 2, ``IQset``: honoured only while the I token is live."""
         with self._lock:
             if not self.leases.redeem_i(key, token):
-                self.stats.incr("ignored_sets")
+                self._counts.ignored_sets += 1
                 if self._tracer.active:
                     self._tracer.emit("iq.set", key=key, applied=False,
                                       srv=self.obs_name)
@@ -329,7 +331,7 @@ class IQServer(LeaseBackend):
             self._check_tid_live(tid, key)
             outcome = self.leases.request_q(key, tid, QMode.EXCLUSIVE)
             if outcome is QRequestOutcome.REJECTED:
-                self.stats.incr("lease_aborts")
+                self._counts.lease_aborts += 1
                 raise QuarantinedError(key)
             state = self._session(tid)
             state.q_keys.add(key)
@@ -349,7 +351,7 @@ class IQServer(LeaseBackend):
             state = self._sessions.get(tid)
             if not self.leases.q_held_by(key, tid):
                 if value is not None:
-                    self.stats.incr("ignored_sets")
+                    self._counts.ignored_sets += 1
                 return False
             stored = False
             if value is not None:
@@ -392,7 +394,7 @@ class IQServer(LeaseBackend):
             self._check_tid_live(tid, key)
             outcome = self.leases.request_q(key, tid, QMode.SHARED_INVALIDATE)
             if outcome is QRequestOutcome.REJECTED:
-                self.stats.incr("lease_aborts")
+                self._counts.lease_aborts += 1
                 raise QuarantinedError(key)
             state = self._session(tid)
             state.q_keys.add(key)
@@ -431,7 +433,7 @@ class IQServer(LeaseBackend):
                 results[key] = "granted"
                 granted += 1
             if granted:
-                self.stats.incr("batched_qar_grants", granted)
+                self._counts.batched_qar_grants += granted
         return results
 
     def iq_mget(self, keys, session=None):
@@ -456,7 +458,7 @@ class IQServer(LeaseBackend):
             self._check_tid_live(tid, key)
             outcome = self.leases.request_q(key, tid, QMode.EXCLUSIVE)
             if outcome is QRequestOutcome.REJECTED:
-                self.stats.incr("lease_aborts")
+                self._counts.lease_aborts += 1
                 raise QuarantinedError(key)
             state = self._session(tid)
             state.q_keys.add(key)

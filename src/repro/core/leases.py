@@ -77,13 +77,15 @@ class _KeyLeases:
 
 
 class _LeaseStripe:
-    """One lock's worth of lease state."""
+    """One lock's worth of lease state, with its cell of the table's
+    :class:`~repro.kvs.stats.CacheStats`, bumped under ``lock``."""
 
-    __slots__ = ("lock", "keys")
+    __slots__ = ("lock", "keys", "counts")
 
-    def __init__(self):
+    def __init__(self, counts):
         self.lock = threading.RLock()
         self.keys = {}
+        self.counts = counts
 
 
 class LeaseTable:
@@ -103,7 +105,9 @@ class LeaseTable:
         self.stats = stats or CacheStats()
         self._tokens = TokenGenerator()
         count = max(1, int(getattr(self.config, "stripe_count", 1) or 1))
-        self._stripes = tuple(_LeaseStripe() for _ in range(count))
+        self._stripes = tuple(
+            _LeaseStripe(self.stats.cell()) for _ in range(count)
+        )
         self._stripe_mask = count - 1 if count & (count - 1) == 0 else None
         #: Callback ``fn(key, session_id)`` invoked when a Q lease expires;
         #: the IQ-Server deletes the key-value pair here.
@@ -143,7 +147,7 @@ class LeaseTable:
         now = self.clock.now()
         if state.i_lease is not None and now >= state.i_lease.expires_at:
             state.i_lease = None
-            self.stats.incr("lease_expirations")
+            stripe.counts.lease_expirations += 1
             if self._tracer.active:
                 self._tracer.emit("lease.i.expire", key=key, srv=self.owner)
         expired_q = [
@@ -151,7 +155,7 @@ class LeaseTable:
         ]
         for sid in expired_q:
             del state.q_holders[sid]
-            self.stats.incr("lease_expirations")
+            stripe.counts.lease_expirations += 1
             if self._tracer.active:
                 self._tracer.emit("lease.q.expire", key=key, tid=sid,
                                   srv=self.owner)
@@ -176,7 +180,7 @@ class LeaseTable:
             state = self._state(stripe, key, create=True)
             if state.i_lease is not None or state.q_holders:
                 self._gc(stripe, key, state)
-                self.stats.incr("lease_backoffs")
+                stripe.counts.lease_backoffs += 1
                 if self._tracer.active:
                     self._tracer.emit("lease.i.backoff", key=key,
                                       srv=self.owner)
@@ -185,7 +189,7 @@ class LeaseTable:
             state.i_lease = _ILease(
                 token, self.clock.now() + self.config.i_lease_ttl
             )
-            self.stats.incr("i_lease_grants")
+            stripe.counts.i_lease_grants += 1
             if self._tracer.active:
                 self._tracer.emit("lease.i.grant", key=key, token=token,
                                   srv=self.owner)
@@ -228,7 +232,7 @@ class LeaseTable:
             state = self._state(stripe, key)
             if state is not None and state.i_lease is not None:
                 state.i_lease = None
-                self.stats.incr("i_lease_voids")
+                stripe.counts.i_lease_voids += 1
                 self._gc(stripe, key, state)
                 if self._tracer.active:
                     self._tracer.emit("lease.i.void", key=key,
@@ -264,7 +268,7 @@ class LeaseTable:
                 )
                 if incompatible:
                     self._gc(stripe, key, state)
-                    self.stats.incr("q_lease_rejects")
+                    stripe.counts.q_lease_rejects += 1
                     if self._tracer.active:
                         self._tracer.emit("lease.q.reject", key=key,
                                           tid=session_id, mode=mode.value,
@@ -278,13 +282,13 @@ class LeaseTable:
                     pass
                 else:
                     state.i_lease = None
-                    self.stats.incr("i_lease_voids")
+                    stripe.counts.i_lease_voids += 1
                     if self._tracer.active:
                         self._tracer.emit("lease.i.void", key=key,
                                           srv=self.owner)
             state.q_mode = mode if not state.q_holders else state.q_mode
             state.q_holders[session_id] = granted_expiry
-            self.stats.incr("q_lease_grants")
+            stripe.counts.q_lease_grants += 1
             if self._tracer.active:
                 self._tracer.emit("lease.q.grant", key=key, tid=session_id,
                                   mode=mode.value, srv=self.owner)

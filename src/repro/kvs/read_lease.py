@@ -68,13 +68,15 @@ class _ReadLease:
 
 
 class _TokenStripe:
-    """One lock's worth of outstanding read-lease tokens."""
+    """One lock's worth of outstanding read-lease tokens, with its cell
+    of the store's :class:`~repro.kvs.stats.CacheStats`."""
 
-    __slots__ = ("lock", "leases")
+    __slots__ = ("lock", "leases", "counts")
 
-    def __init__(self):
+    def __init__(self, counts):
         self.lock = threading.Lock()
         self.leases = {}
+        self.counts = counts
 
 
 class ReadLeaseStore:
@@ -97,7 +99,9 @@ class ReadLeaseStore:
         count = max(
             1, int(getattr(self.lease_config, "stripe_count", 1) or 1)
         )
-        self._stripes = tuple(_TokenStripe() for _ in range(count))
+        self._stripes = tuple(
+            _TokenStripe(self.store.stats.cell()) for _ in range(count)
+        )
         self._stripe_mask = count - 1 if count & (count - 1) == 0 else None
         self.store.on_entry_removed = self._void_lease
 
@@ -117,12 +121,12 @@ class ReadLeaseStore:
         with stripe.lock:
             lease = self._live_lease(stripe, key)
             if lease is not None:
-                self.store.stats.incr("lease_backoffs")
+                stripe.counts.lease_backoffs += 1
                 return LeaseGetResult(backoff=True)
             token = self._tokens.next()
             expires = self.clock.now() + self.lease_config.i_lease_ttl
             stripe.leases[key] = _ReadLease(token, expires)
-            self.store.stats.incr("i_lease_grants")
+            stripe.counts.i_lease_grants += 1
             return LeaseGetResult(token=token)
 
     def lease_set(self, key, value, token, flags=0, ttl=None):
@@ -136,7 +140,7 @@ class ReadLeaseStore:
         with stripe.lock:
             lease = self._live_lease(stripe, key)
             if lease is None or lease.token != token:
-                self.store.stats.incr("ignored_sets")
+                stripe.counts.ignored_sets += 1
                 return False
             del stripe.leases[key]
         self.store.set(key, value, flags=flags, ttl=ttl)
@@ -149,7 +153,7 @@ class ReadLeaseStore:
             return None
         if self.clock.now() >= lease.expires_at:
             del stripe.leases[key]
-            self.store.stats.incr("lease_expirations")
+            stripe.counts.lease_expirations += 1
             return None
         return lease
 
@@ -168,7 +172,7 @@ class ReadLeaseStore:
         with stripe.lock:
             if key in stripe.leases:
                 del stripe.leases[key]
-                self.store.stats.incr("i_lease_voids")
+                stripe.counts.i_lease_voids += 1
 
     # -- pass-through commands -------------------------------------------------
 

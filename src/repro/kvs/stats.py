@@ -1,116 +1,135 @@
 """Cache statistics, mirroring the counters memcached exposes via ``stats``.
 
-Since the observability refactor these classes are *views* over
-:class:`repro.obs.registry.MetricsRegistry` counters: the registry owns
-the values (and their locks), the views keep the historical ``incr`` /
-``get`` / ``snapshot`` / ``hit_rate`` API every caller already uses, and
-the same numbers become exportable via
-:meth:`~repro.obs.registry.MetricsRegistry.render_prometheus`.
+The counters are plain ints.  Each lock that guards cache state -- a
+store stripe, a lease-table stripe, the IQ server's session lock, an
+event loop's thread -- owns one :class:`Counts` cell and bumps it under
+that lock, so a hit pays two attribute increments and no lock of its
+own.  :class:`CacheStats` sums the cells when read, and mirrors the sums
+into a :class:`repro.obs.registry.MetricsRegistry` only at export.
 """
+
+import threading
 
 from repro.obs.registry import MetricsRegistry
 
+COUNTERS = (
+    "get_hits",
+    "get_misses",
+    "cmd_get",
+    "cmd_set",
+    "cas_hits",
+    "cas_misses",
+    "cas_badval",
+    "delete_hits",
+    "delete_misses",
+    "incr_hits",
+    "incr_misses",
+    "decr_hits",
+    "decr_misses",
+    "evictions",
+    "expirations",
+    "total_items",
+    # Lease protocol counters (IQ framework / read leases):
+    "i_lease_grants",
+    "i_lease_voids",
+    "q_lease_grants",
+    "q_lease_rejects",
+    "lease_backoffs",
+    "lease_aborts",
+    "lease_expirations",
+    "ignored_sets",
+    # Batching / pipelining counters (PR 5):
+    "pipelined_commands",
+    "batched_qar_grants",
+    # Event-loop transport counters (PR 7):
+    "evloop_connections",
+    "evloop_flushes",
+    "evloop_overflow_closes",
+    # Precise-clock self-invalidation counters (PR 8): hits served
+    # inside a validity interval vs entries lazily dropped because
+    # the commit clock passed their bound, plus dynamic extensions
+    # and fills refused in favour of a longer-lived interval.
+    "cmd_cget",
+    "cmd_cset",
+    "interval_hits",
+    "interval_expiries",
+    "interval_extensions",
+    "interval_ignored_sets",
+)
+
+
+class Counts:
+    """One lock's worth of counters: an int attribute per name in
+    :data:`COUNTERS`, bumped only under the lock of the code that owns
+    the cell."""
+
+    __slots__ = COUNTERS
+
+    def __init__(self):
+        for name in COUNTERS:
+            setattr(self, name, 0)
+
 
 class CacheStats:
-    """Thread-safe monotonic counters for cache activity.
+    """Monotonic counters for cache activity, summed over cells.
 
     The counter names follow memcached's ``stats`` output where an
     equivalent exists (``get_hits``, ``get_misses``, ``evictions`` ...) and
     add lease-protocol counters used by the evaluation (``lease_backoffs``,
     ``lease_aborts``).
 
-    Each instance defaults to a private registry (one server = one stats
-    domain, matching a memcached process); pass a shared ``registry`` to
-    co-locate several components' metrics in one exporter.  Registry
-    metric names are prefixed (default ``cache_``) so they are valid
-    Prometheus identifiers and cannot collide with other subsystems.
+    Each instance is one stats domain (one server, matching a memcached
+    process).  Components that bump counters on a hot path take a
+    :meth:`cell` each; :meth:`incr` serves everyone else under the
+    instance's own lock.
     """
 
-    COUNTERS = (
-        "get_hits",
-        "get_misses",
-        "cmd_get",
-        "cmd_set",
-        "cas_hits",
-        "cas_misses",
-        "cas_badval",
-        "delete_hits",
-        "delete_misses",
-        "incr_hits",
-        "incr_misses",
-        "decr_hits",
-        "decr_misses",
-        "evictions",
-        "expirations",
-        "total_items",
-        # Lease protocol counters (IQ framework / read leases):
-        "i_lease_grants",
-        "i_lease_voids",
-        "q_lease_grants",
-        "q_lease_rejects",
-        "lease_backoffs",
-        "lease_aborts",
-        "lease_expirations",
-        "ignored_sets",
-        # Batching / pipelining counters (PR 5):
-        "pipelined_commands",
-        "batched_qar_grants",
-        # Event-loop transport counters (PR 7):
-        "evloop_connections",
-        "evloop_flushes",
-        "evloop_overflow_closes",
-        # Precise-clock self-invalidation counters (PR 8): hits served
-        # inside a validity interval vs entries lazily dropped because
-        # the commit clock passed their bound, plus dynamic extensions
-        # and fills refused in favour of a longer-lived interval.
-        "cmd_cget",
-        "cmd_cset",
-        "interval_hits",
-        "interval_expiries",
-        "interval_extensions",
-        "interval_ignored_sets",
-    )
+    COUNTERS = COUNTERS
 
-    def __init__(self, registry=None, prefix="cache"):
-        self.registry = registry if registry is not None else MetricsRegistry()
-        self._counters = {
-            name: self.registry.counter("{}_{}".format(prefix, name))
-            for name in self.COUNTERS
-        }
+    def __init__(self):
+        self._cells = []
+        self._lock = threading.Lock()
+        self._own = self.cell()
+
+    def cell(self):
+        """A fresh zeroed :class:`Counts`, included in every read from
+        now on.  The caller bumps it only under one lock of its own."""
+        cell = Counts()
+        self._cells.append(cell)
+        return cell
 
     def incr(self, name, amount=1):
         """Increment counter ``name`` by ``amount``."""
-        self._counters[name].inc(amount)
-
-    def counter(self, name):
-        """The underlying registry counter for ``name``.
-
-        Hot paths resolve this once and call ``.inc()`` on the handle,
-        skipping the per-call dict lookup :meth:`incr` performs (the
-        event loop bumps ``evloop_flushes`` on every reply write).
-        Raises ``KeyError`` for names outside :data:`COUNTERS`.
-        """
-        return self._counters[name]
+        own = self._own
+        with self._lock:
+            setattr(own, name, getattr(own, name) + amount)
 
     def get(self, name):
         """Read a single counter."""
-        return self._counters[name].value
+        return sum(getattr(cell, name) for cell in self._cells)
 
     def snapshot(self):
         """Return a point-in-time copy of all counters."""
-        return {name: counter.value for name, counter in self._counters.items()}
+        cells = list(self._cells)
+        return {
+            name: sum(getattr(cell, name) for cell in cells)
+            for name in COUNTERS
+        }
 
-    def reset(self):
-        """Zero every counter."""
-        for counter in self._counters.values():
-            counter.reset()
+    def export(self):
+        """A fresh :class:`MetricsRegistry` holding every counter as
+        ``cache_<name>``: the Prometheus view, built when asked for."""
+        registry = MetricsRegistry()
+        for name, value in self.snapshot().items():
+            registry.counter("cache_" + name).inc(value)
+        return registry
 
     def hit_rate(self):
         """Fraction of ``get`` commands that hit, or ``None`` if no gets."""
-        total = self._counters["cmd_get"].value
+        total = self.get("cmd_get")
         if total == 0:
             return None
-        return self._counters["get_hits"].value / total
+        return self.get("get_hits") / total
 
 
 class MergedCacheStats:

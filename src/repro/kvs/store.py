@@ -86,18 +86,21 @@ class _Stripe:
     CAS identifiers are per stripe; a key never changes stripes, so the
     memcached contract (every mutation of a key yields a fresh cas id,
     compare-and-swap detects any interleaved change) holds exactly.
+    ``counts`` is the stripe's cell of the store's
+    :class:`~repro.kvs.stats.CacheStats`, bumped under ``lock``.
     """
 
     __slots__ = ("lock", "table", "lru", "slabs", "memory_used",
-                 "cas_counter")
+                 "cas_counter", "counts")
 
-    def __init__(self, max_chunk):
+    def __init__(self, max_chunk, counts):
         self.lock = threading.RLock()
         self.table = {}
         self.lru = LRUList()
         self.slabs = SlabClassTable(max_chunk=max_chunk)
         self.memory_used = 0
         self.cas_counter = 0
+        self.counts = counts
 
 
 class _AllStripes:
@@ -139,15 +142,16 @@ class CacheStore:
     def __init__(self, config=None, clock=None, stats=None):
         self.config = config or KVSConfig()
         self.clock = clock or SystemClock()
-        #: One :class:`CacheStats` shared by every stripe -- its counters
-        #: are registry-backed and individually thread-safe, so per-stripe
-        #: numbers merge by construction instead of by a read-time view.
+        #: One :class:`CacheStats` over every stripe: each stripe bumps its
+        #: own cell under its own lock, and reads sum the cells.
         self.stats = stats or CacheStats()
         max_chunk = self.config.max_item_bytes + 512
         count = max(1, int(getattr(self.config, "stripe_count", 1) or 1))
         if self.config.memory_limit_bytes is not None:
             count = 1
-        self._stripes = tuple(_Stripe(max_chunk) for _ in range(count))
+        self._stripes = tuple(
+            _Stripe(max_chunk, self.stats.cell()) for _ in range(count)
+        )
         self._stripe_mask = count - 1 if count & (count - 1) == 0 else None
         self._all = _AllStripes(self._stripes)
         #: Called with the evicted/expired entry; the IQ server hooks this
@@ -212,16 +216,22 @@ class CacheStore:
     def _lookup_live(self, stripe, key):
         """Return the live entry for ``key``, expiring it lazily if stale."""
         entry = stripe.table.get(key)
-        if entry is None:
-            return None
-        if entry.is_expired(self.clock.now()):
-            self._unlink(stripe, entry)
-            self.stats.incr("expirations")
-            if self._tracer.active:
-                self._tracer.emit("store.expire", key=entry.key)
-            self._notify_removed(entry)
-            return None
+        if entry is not None and entry.expires_at:
+            if self._expire_due(stripe, entry):
+                return None
         return entry
+
+    def _expire_due(self, stripe, entry):
+        """Drop ``entry``, which carries a TTL, if the TTL has elapsed;
+        True when it did.  Only entries with a TTL cost a clock read."""
+        if self.clock.now() < entry.expires_at:
+            return False
+        self._unlink(stripe, entry)
+        stripe.counts.expirations += 1
+        if self._tracer.active:
+            self._tracer.emit("store.expire", key=entry.key)
+        self._notify_removed(entry)
+        return True
 
     def _unlink(self, stripe, entry):
         del stripe.table[entry.key]
@@ -242,7 +252,7 @@ class CacheStore:
         stripe.table[entry.key] = entry
         stripe.lru.push_front(entry)
         stripe.memory_used += stripe.slabs.charge(entry.size())
-        self.stats.incr("total_items")
+        stripe.counts.total_items += 1
         self._notify_stored(entry)
 
     def _replace_value(self, stripe, entry, value, flags=None,
@@ -282,7 +292,7 @@ class CacheStore:
                     )
                 )
             self._unlink(stripe, victim)
-            self.stats.incr("evictions")
+            stripe.counts.evictions += 1
             if self._tracer.active:
                 self._tracer.emit("store.evict", key=victim.key)
             self._notify_removed(victim)
@@ -294,15 +304,21 @@ class CacheStore:
         self._check_key(key)
         if self.fault_injector is not None:
             self.fault_injector.perform("store.get", key=key)
-        stripe = self._stripe_for(key)
+        mask = self._stripe_mask
+        if mask is not None:
+            stripe = self._stripes[hash(key) & mask]
+        else:
+            stripe = self._stripes[hash(key) % len(self._stripes)]
         with stripe.lock:
-            self.stats.incr("cmd_get")
-            entry = self._lookup_live(stripe, key)
-            if entry is None:
-                self.stats.incr("get_misses")
+            counts = stripe.counts
+            counts.cmd_get += 1
+            entry = stripe.table.get(key)
+            if entry is None or (entry.expires_at
+                                 and self._expire_due(stripe, entry)):
+                counts.get_misses += 1
                 return None
             stripe.lru.touch(entry)
-            self.stats.incr("get_hits")
+            counts.get_hits += 1
             return entry.value, entry.flags
 
     def gets(self, key):
@@ -310,13 +326,14 @@ class CacheStore:
         self._check_key(key)
         stripe = self._stripe_for(key)
         with stripe.lock:
-            self.stats.incr("cmd_get")
+            counts = stripe.counts
+            counts.cmd_get += 1
             entry = self._lookup_live(stripe, key)
             if entry is None:
-                self.stats.incr("get_misses")
+                counts.get_misses += 1
                 return None
             stripe.lru.touch(entry)
-            self.stats.incr("get_hits")
+            counts.get_hits += 1
             return entry.value, entry.flags, entry.cas_id
 
     def cget(self, key, clock_now, extend=None):
@@ -336,13 +353,13 @@ class CacheStore:
             self.fault_injector.perform("store.get", key=key)
         stripe = self._stripe_for(key)
         with stripe.lock:
-            self.stats.incr("cmd_cget")
+            stripe.counts.cmd_cget += 1
             entry = self._lookup_live(stripe, key)
             if entry is None or entry.valid_until is None:
                 return ClockGetResult()
             if entry.interval_expired(clock_now):
                 self._unlink(stripe, entry)
-                self.stats.incr("interval_expiries")
+                stripe.counts.interval_expiries += 1
                 if self._tracer.active:
                     self._tracer.emit("store.interval_expire", key=key,
                                       expiry=entry.valid_until,
@@ -352,10 +369,10 @@ class CacheStore:
             extended = False
             if extend is not None and extend > entry.valid_until:
                 entry.valid_until = extend
-                self.stats.incr("interval_extensions")
+                stripe.counts.interval_extensions += 1
                 extended = True
             stripe.lru.touch(entry)
-            self.stats.incr("interval_hits")
+            stripe.counts.interval_hits += 1
             return ClockGetResult(
                 entry.value, entry.flags, entry.valid_from,
                 entry.valid_until, extended=extended,
@@ -380,7 +397,7 @@ class CacheStore:
             self.fault_injector.perform("store.set", key=key)
         stripe = self._stripe_for(key)
         with stripe.lock:
-            self.stats.incr("cmd_set")
+            stripe.counts.cmd_set += 1
             entry = self._lookup_live(stripe, key)
             expires_at = self._expiry_for(ttl)
             if entry is None:
@@ -411,14 +428,14 @@ class CacheStore:
             self.fault_injector.perform("store.set", key=key)
         stripe = self._stripe_for(key)
         with stripe.lock:
-            self.stats.incr("cmd_cset")
+            stripe.counts.cmd_cset += 1
             if valid_until <= valid_from:
-                self.stats.incr("interval_ignored_sets")
+                stripe.counts.interval_ignored_sets += 1
                 return StoreResult.NOT_STORED
             entry = self._lookup_live(stripe, key)
             if (entry is not None and entry.valid_until is not None
                     and entry.valid_until >= valid_until):
-                self.stats.incr("interval_ignored_sets")
+                stripe.counts.interval_ignored_sets += 1
                 return StoreResult.NOT_STORED
             expires_at = self._expiry_for(ttl)
             if entry is None:
@@ -440,7 +457,7 @@ class CacheStore:
         self._check_value(value)
         stripe = self._stripe_for(key)
         with stripe.lock:
-            self.stats.incr("cmd_set")
+            stripe.counts.cmd_set += 1
             if self._lookup_live(stripe, key) is not None:
                 return StoreResult.NOT_STORED
             entry = CacheEntry(key, value, flags, self._expiry_for(ttl),
@@ -454,7 +471,7 @@ class CacheStore:
         self._check_value(value)
         stripe = self._stripe_for(key)
         with stripe.lock:
-            self.stats.incr("cmd_set")
+            stripe.counts.cmd_set += 1
             entry = self._lookup_live(stripe, key)
             if entry is None:
                 return StoreResult.NOT_STORED
@@ -468,7 +485,7 @@ class CacheStore:
         self._check_value(suffix)
         stripe = self._stripe_for(key)
         with stripe.lock:
-            self.stats.incr("cmd_set")
+            stripe.counts.cmd_set += 1
             entry = self._lookup_live(stripe, key)
             if entry is None:
                 return StoreResult.NOT_STORED
@@ -484,7 +501,7 @@ class CacheStore:
         self._check_value(prefix)
         stripe = self._stripe_for(key)
         with stripe.lock:
-            self.stats.incr("cmd_set")
+            stripe.counts.cmd_set += 1
             entry = self._lookup_live(stripe, key)
             if entry is None:
                 return StoreResult.NOT_STORED
@@ -505,17 +522,17 @@ class CacheStore:
         self._check_value(value)
         stripe = self._stripe_for(key)
         with stripe.lock:
-            self.stats.incr("cmd_set")
+            stripe.counts.cmd_set += 1
             entry = self._lookup_live(stripe, key)
             if entry is None:
-                self.stats.incr("cas_misses")
+                stripe.counts.cas_misses += 1
                 return StoreResult.NOT_FOUND
             if entry.cas_id != cas_id:
-                self.stats.incr("cas_badval")
+                stripe.counts.cas_badval += 1
                 return StoreResult.EXISTS
             self._replace_value(stripe, entry, value, flags,
                                 self._expiry_for(ttl))
-            self.stats.incr("cas_hits")
+            stripe.counts.cas_hits += 1
             return StoreResult.STORED
 
     # -- deletion / arithmetic / misc ----------------------------------------
@@ -529,10 +546,10 @@ class CacheStore:
         with stripe.lock:
             entry = self._lookup_live(stripe, key)
             if entry is None:
-                self.stats.incr("delete_misses")
+                stripe.counts.delete_misses += 1
                 return False
             self._unlink(stripe, entry)
-            self.stats.incr("delete_hits")
+            stripe.counts.delete_hits += 1
             if self._tracer.active:
                 self._tracer.emit("store.delete", key=key)
             self._notify_removed(entry)
@@ -542,10 +559,13 @@ class CacheStore:
         self._check_key(key)
         stripe = self._stripe_for(key)
         with stripe.lock:
-            counter = "incr" if sign > 0 else "decr"
+            counts = stripe.counts
             entry = self._lookup_live(stripe, key)
             if entry is None:
-                self.stats.incr(counter + "_misses")
+                if sign > 0:
+                    counts.incr_misses += 1
+                else:
+                    counts.decr_misses += 1
                 return None
             try:
                 current = int(entry.value.decode("ascii"))
@@ -561,7 +581,10 @@ class CacheStore:
                 # memcached clamps decrements at zero rather than wrapping.
                 new = max(0, current - delta)
             self._replace_value(stripe, entry, str(new).encode("ascii"))
-            self.stats.incr(counter + "_hits")
+            if sign > 0:
+                counts.incr_hits += 1
+            else:
+                counts.decr_hits += 1
             return new
 
     def incr(self, key, delta=1):

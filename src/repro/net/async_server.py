@@ -37,8 +37,8 @@ broken frame, an overflow) only waits to flush what it owes: its poller
 interest is write-only, so a peer that keeps sending without reading
 cannot wake the loop, and the socket closes once the backlog drains.
 
-The loop exposes its health through the IQ server's stats registry
-(``stats`` over the wire): ``evloop_connections`` accepted,
+The loop exposes its health through its cell of the IQ server's
+``CacheStats`` (``stats`` over the wire): ``evloop_connections`` accepted,
 ``evloop_flushes`` reply writes, ``evloop_overflow_closes`` cap
 disconnects, and ``pipelined_commands`` answered in multi-reply writes.
 """
@@ -185,13 +185,8 @@ class AsyncIQServer:
         self._register(self._wake_recv.fileno(), self._wake_recv,
                        self._on_wakeup)
 
-        # Counter handles resolved once: the per-flush and per-batch
-        # bumps are on the loop's hottest path.
-        counter = self.iq_server.stats.counter
-        self._count_connection = counter("evloop_connections").inc
-        self._count_flush = counter("evloop_flushes").inc
-        self._count_overflow_close = counter("evloop_overflow_closes").inc
-        self._count_pipelined = counter("pipelined_commands").inc
+        #: The loop's own counters, bumped only on the loop thread.
+        self._counts = self.iq_server.stats.cell()
 
         self._shutdown_requested = threading.Event()
         self._loop_done = threading.Event()
@@ -317,7 +312,7 @@ class AsyncIQServer:
                 pass
             conn = _Connection(sock)
             self._register(conn.fd, conn, self._on_conn_event)
-            self._count_connection()
+            self._counts.evloop_connections += 1
 
     def _on_conn_event(self, conn, mask):
         if mask & _WRITABLE:
@@ -495,12 +490,12 @@ class AsyncIQServer:
             # backpressure; cut the connection instead of buffering
             # replies without limit.
             self._close_conn(conn, abrupt=True)
-            self._count_overflow_close()
+            self._counts.evloop_overflow_closes += 1
 
     def _overflow_close(self, conn, message):
         conn.out += error_response(message) + CRLF
         conn.closing = True
-        self._count_overflow_close()
+        self._counts.evloop_overflow_closes += 1
 
     # -- fault hooks ---------------------------------------------------------
 
@@ -560,7 +555,7 @@ class AsyncIQServer:
             return
         if conn.out:
             if conn.batch > 1:
-                self._count_pipelined(conn.batch)
+                self._counts.pipelined_commands += conn.batch
             conn.batch = 0
             try:
                 sent = conn.sock.send(conn.out)
@@ -570,7 +565,7 @@ class AsyncIQServer:
                 self._close_conn(conn, abrupt=True)
                 return
             del conn.out[:sent]
-            self._count_flush()
+            self._counts.evloop_flushes += 1
         if conn.closing:
             if not conn.out:
                 self._close_conn(conn)

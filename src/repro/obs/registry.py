@@ -1,10 +1,12 @@
 """A unified metrics registry: counters, gauges, histograms, exporters.
 
-Every ad-hoc stats class in the repo (:class:`repro.kvs.stats.CacheStats`,
-:class:`repro.util.histogram.LatencyHistogram`,
-:class:`repro.bg.metrics.RestartStats`) is a *view* over metrics held
-here; the registry is the single source of truth and the one place that
-knows how to render everything for export.
+:class:`repro.util.histogram.LatencyHistogram` and
+:class:`repro.bg.metrics.RestartStats` are *views* over metrics held
+here; the registry is the one place that knows how to render everything
+for export.  Counters on a cache hit path count in plain ints under a
+lock their code already holds (:class:`repro.kvs.stats.CacheStats`, the
+SQL engine's ``stats()``) and are mirrored into a registry only at
+export.
 
 Concurrency: each metric carries its own lock (increments from the BG
 worker threads contend per-metric, not registry-wide); the registry lock

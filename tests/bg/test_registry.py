@@ -82,3 +82,70 @@ def test_failed_action_reverts_nothing(registry):
 
 def test_claim_pending_empty_returns_none(registry):
     assert registry.claim_pending(random.Random(7), "accept") is None
+
+
+class SweepRegistry(FriendshipRegistry):
+    """claim_pending as it was before the open-invitee index: the sweep
+    probes every member from a random start."""
+
+    def claim_pending(self, rng, kind, attempts=16):
+        members = self.graph.config.members
+        with self._lock:
+            for _ in range(attempts):
+                claim = self._try_claim_pending_of(
+                    rng.randrange(members), kind
+                )
+                if claim is not None:
+                    return claim
+            start = rng.randrange(members)
+            for offset in range(members):
+                claim = self._try_claim_pending_of(
+                    (start + offset) % members, kind
+                )
+                if claim is not None:
+                    return claim
+            return None
+
+
+def _as_tuple(claim):
+    return None if claim is None else (claim.inviter, claim.invitee,
+                                       claim.kind)
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_indexed_claim_pending_matches_the_sweep(seed):
+    """Random interleavings of every claim and completion: the indexed
+    registry claims the same pairs and draws the same numbers as the
+    sweep, including when invitations are sparse or all claimed."""
+    graph = SocialGraph(
+        BGConfig(members=40, friends_per_member=4, resources_per_member=1)
+    )
+    script = random.Random(seed)
+    registries = (FriendshipRegistry(graph), SweepRegistry(graph))
+    rngs = (random.Random(seed), random.Random(seed))
+    held = ([], [])
+    for _ in range(600):
+        op = script.random()
+        if op < 0.35:
+            step = lambda reg, rng: reg.claim_invite(rng)
+        elif op < 0.6:
+            kind = script.choice(("accept", "reject"))
+            attempts = script.choice((0, 1, 16))
+            step = lambda reg, rng: reg.claim_pending(rng, kind, attempts)
+        elif op < 0.7:
+            step = lambda reg, rng: reg.claim_confirmed(rng)
+        else:
+            if not held[0]:
+                continue
+            at = script.randrange(len(held[0]))
+            succeeded = script.random() < 0.8
+            for reg, claims in zip(registries, held):
+                reg.complete(claims.pop(at), succeeded=succeeded)
+            continue
+        claims = [step(reg, rng) for reg, rng in zip(registries, rngs)]
+        assert _as_tuple(claims[0]) == _as_tuple(claims[1])
+        assert rngs[0].getstate() == rngs[1].getstate()
+        if claims[0] is not None:
+            held[0].append(claims[0])
+            held[1].append(claims[1])
+    assert registries[0].total_pending() == registries[1].total_pending()

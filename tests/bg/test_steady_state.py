@@ -6,8 +6,9 @@
 * the engine's stored versions, pk map, indexes and transaction records,
   and the validation log's history, level off while sessions keep
   running (each reclaimed by the mechanism that runs by itself);
-* the trimmed validation log returns the verdicts and acceptable sets of
-  a log that never forgets, for any interleaving of writers and readers.
+* the version-chain validation log returns the floors, verdicts and
+  acceptable sets of a log that never forgets, for any interleaving of
+  writers and readers.
 """
 
 import hypothesis.strategies as st
@@ -129,8 +130,8 @@ def test_state_levels_off_while_sessions_keep_running():
 
 
 class ReferenceLog:
-    """The validation log as it was before it trimmed: every value ever
-    recorded, walked from the start."""
+    """A validation log that keeps every value ever recorded and walks
+    it from the start."""
 
     def __init__(self, items):
         self.seq = 0
@@ -219,7 +220,7 @@ class TrimmedVsReference(RuleBasedStateMachine):
         end = self.log.read_end()
         assert end == self.reference.seq
         expected = self.reference.acceptable_values(item, floors[item], end)
-        assert self.log.acceptable_values(item, floors[item], end) == expected
+        assert self.log.acceptable_values(item, floors, end) == expected
         observed = -1 if stale else data.draw(
             st.sampled_from(sorted(expected))
         )
@@ -230,7 +231,7 @@ class TrimmedVsReference(RuleBasedStateMachine):
     @precondition(lambda self: self.readers)
     @rule(data=st.data())
     def abandon_read(self, data):
-        """A read that never validates: it may only delay trimming."""
+        """A read that never validates: it only keeps versions alive."""
         self.readers.remove(self._pick(data, self.readers))
 
     def teardown(self):

@@ -50,3 +50,31 @@ class TestDecode:
     def test_type_check(self):
         with pytest.raises(BadValueError):
             decode("a str")
+
+
+def _outcome(fn, text):
+    try:
+        return ("value", fn(text))
+    except Exception as exc:  # the exception itself is what is compared
+        return ("raises", type(exc), str(exc))
+
+
+@pytest.mark.parametrize("body", [
+    b'[1,2,3]', b'{"a":[1,{"b":null}],"c":"d"}', b'"x"', b'0', b'true',
+    b' [1]', b'[1] ', b'\t{"a":1}\n', b'  ', b'',
+    b'[1]x', b'[1] [2]', b'{"a":1}}', b'[1,', b'nul', b'1 2',
+    b'"\xc3\xa9"', b'[1e400]', b'NaN',
+])
+def test_json_decode_matches_json_loads(body):
+    """Whitespace, trailing garbage and parse errors give the value or
+    the exception ``json.loads`` gives."""
+    import json
+
+    expected = _outcome(json.loads, body.decode("utf-8"))
+    assert _outcome(decode, b"j:" + body) == expected
+
+
+def test_json_decode_keeps_unicode_errors():
+    with pytest.raises(UnicodeDecodeError) as caught:
+        decode(b"j:\xff[1]")
+    assert caught.value.start == 0
