@@ -7,10 +7,6 @@ class CacheEntry:
     Attributes mirror a memcached item: an opaque byte-string value, client
     flags, an absolute expiry time (0 = never), and a unique ``cas`` version
     that changes on every mutation of the value.
-
-    Entries double as nodes of the intrusive LRU list (``lru_prev`` /
-    ``lru_next``), avoiding a second allocation per item as memcached does
-    with its item header.
     """
 
     __slots__ = (
@@ -19,8 +15,6 @@ class CacheEntry:
         "flags",
         "expires_at",
         "cas_id",
-        "lru_prev",
-        "lru_next",
         "valid_from",
         "valid_until",
     )
@@ -31,8 +25,6 @@ class CacheEntry:
         self.flags = flags
         self.expires_at = expires_at
         self.cas_id = cas_id
-        self.lru_prev = None
-        self.lru_next = None
         # Validity interval [valid_from, valid_until) in commit-clock
         # ticks (precise-clock self-invalidation, ClockClient); ``None``
         # marks an unstamped entry, which ``cget`` treats as a miss.

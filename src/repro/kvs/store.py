@@ -7,8 +7,14 @@ read-modify-write of Figure 1b, a session's invalidations -- is **not**
 atomic, which is precisely the gap the paper's IQ framework closes.
 
 The table is split over ``config.stripe_count`` hash stripes, each with
-its own reentrant lock, hash table, LRU list, and slab accounting, so
-concurrent commands on keys in different stripes never contend.
+its own reentrant lock, hash table and slab accounting, so concurrent
+commands on keys in different stripes never contend.  A stripe's table
+is an insertion-ordered ``OrderedDict``; only a bounded store (one with
+``memory_limit_bytes``) keeps it in recency order, moving a key to the
+end on every use and evicting from the front, both O(1).  An unbounded
+store never evicts, so it keeps no recency order and a hit touches
+nothing but its counters.
+
 Whole-store operations (``flush_all``, :meth:`locked`) acquire every
 stripe in fixed index order -- the one global ordering that makes the
 all-stripes path deadlock-free against itself and reentrant against the
@@ -20,11 +26,11 @@ instead of approximating it with per-stripe budgets.
 import enum
 import re
 import threading
+from collections import OrderedDict
 
 from repro.config import KVSConfig
 from repro.errors import BadValueError, KeyFormatError, ValueTooLargeError
 from repro.kvs.entry import CacheEntry
-from repro.kvs.lru import LRUList
 from repro.kvs.slab import SlabClassTable
 from repro.kvs.stats import CacheStats
 from repro.obs.trace import get_tracer
@@ -81,7 +87,7 @@ class ClockGetResult:
 
 
 class _Stripe:
-    """One lock's worth of store state: table + LRU + slab accounting.
+    """One lock's worth of store state: table + slab accounting.
 
     CAS identifiers are per stripe; a key never changes stripes, so the
     memcached contract (every mutation of a key yields a fresh cas id,
@@ -90,13 +96,13 @@ class _Stripe:
     :class:`~repro.kvs.stats.CacheStats`, bumped under ``lock``.
     """
 
-    __slots__ = ("lock", "table", "lru", "slabs", "memory_used",
-                 "cas_counter", "counts")
+    __slots__ = ("lock", "table", "slabs", "memory_used", "cas_counter",
+                 "counts")
 
     def __init__(self, max_chunk, counts):
         self.lock = threading.RLock()
-        self.table = {}
-        self.lru = LRUList()
+        #: key -> entry; least recently used first in a bounded store
+        self.table = OrderedDict()
         self.slabs = SlabClassTable(max_chunk=max_chunk)
         self.memory_used = 0
         self.cas_counter = 0
@@ -153,6 +159,8 @@ class CacheStore:
             _Stripe(max_chunk, self.stats.cell()) for _ in range(count)
         )
         self._stripe_mask = count - 1 if count & (count - 1) == 0 else None
+        #: Keep each table in recency order (only eviction reads it).
+        self._recency = self.config.memory_limit_bytes is not None
         self._all = _AllStripes(self._stripes)
         #: Called with the evicted/expired entry; the IQ server hooks this
         #: to drop leases attached to keys that vanish underneath them.
@@ -235,7 +243,6 @@ class CacheStore:
 
     def _unlink(self, stripe, entry):
         del stripe.table[entry.key]
-        stripe.lru.remove(entry)
         stripe.memory_used -= stripe.slabs.release(entry.size())
 
     def _notify_removed(self, entry):
@@ -250,7 +257,6 @@ class CacheStore:
         chunk = stripe.slabs.chunk_size_for(entry.size())
         self._ensure_room(stripe, chunk)
         stripe.table[entry.key] = entry
-        stripe.lru.push_front(entry)
         stripe.memory_used += stripe.slabs.charge(entry.size())
         stripe.counts.total_items += 1
         self._notify_stored(entry)
@@ -272,7 +278,8 @@ class CacheStore:
         chunk = stripe.slabs.chunk_size_for(entry.size())
         self._ensure_room(stripe, chunk, exclude=entry)
         stripe.memory_used += stripe.slabs.charge(entry.size())
-        stripe.lru.touch(entry)
+        if self._recency:
+            stripe.table.move_to_end(entry.key)
         self._notify_stored(entry)
 
     def _ensure_room(self, stripe, chunk_bytes, exclude=None):
@@ -281,7 +288,7 @@ class CacheStore:
             return
         while stripe.memory_used + chunk_bytes > limit:
             victim = None
-            for candidate in stripe.lru.items_lru_first():
+            for candidate in stripe.table.values():
                 if candidate is not exclude:
                     victim = candidate
                     break
@@ -317,7 +324,8 @@ class CacheStore:
                                  and self._expire_due(stripe, entry)):
                 counts.get_misses += 1
                 return None
-            stripe.lru.touch(entry)
+            if self._recency:
+                stripe.table.move_to_end(key)
             counts.get_hits += 1
             return entry.value, entry.flags
 
@@ -332,7 +340,8 @@ class CacheStore:
             if entry is None:
                 counts.get_misses += 1
                 return None
-            stripe.lru.touch(entry)
+            if self._recency:
+                stripe.table.move_to_end(key)
             counts.get_hits += 1
             return entry.value, entry.flags, entry.cas_id
 
@@ -371,7 +380,8 @@ class CacheStore:
                 entry.valid_until = extend
                 stripe.counts.interval_extensions += 1
                 extended = True
-            stripe.lru.touch(entry)
+            if self._recency:
+                stripe.table.move_to_end(key)
             stripe.counts.interval_hits += 1
             return ClockGetResult(
                 entry.value, entry.flags, entry.valid_from,
@@ -608,7 +618,8 @@ class CacheStore:
             if entry is None:
                 return False
             entry.expires_at = self._expiry_for(ttl)
-            stripe.lru.touch(entry)
+            if self._recency:
+                stripe.table.move_to_end(key)
             return True
 
     def flush_all(self):
@@ -666,7 +677,7 @@ class CacheStore:
 
         ``None`` covers absent, TTL-expired, and unstamped entries alike
         -- every case where a ``cget`` cannot serve.  Pure introspection
-        (model-checker fingerprints, oracles): no LRU touch, no stats,
+        (model-checker fingerprints, oracles): no recency touch, no stats,
         no lazy expiry.
         """
         self._check_key(key)

@@ -58,6 +58,8 @@ from repro.errors import (
 from repro.net.commands import HANDLERS
 from repro.net.protocol import (
     CRLF,
+    DATA_COMMANDS,
+    TRACE_TOKEN_PREFIX,
     data_block_size,
     error_response,
     parse_command_line,
@@ -135,9 +137,6 @@ class _Connection:
         self.corrupt_armed = False
         #: the poller mask this connection is registered with
         self.interest = _IN
-
-    def available(self):
-        return len(self.inbuf) - self.pos
 
 
 class AsyncIQServer:
@@ -317,10 +316,8 @@ class AsyncIQServer:
     def _on_conn_event(self, conn, mask):
         if mask & _WRITABLE:
             self._flush(conn)
-        if mask & _READABLE and not conn.closing:
-            self._on_readable(conn)
-
-    def _on_readable(self, conn):
+        if not mask & _READABLE or conn.closing:
+            return
         injector = self.fault_injector
         if injector is not None and not self._inject_recv(injector, conn):
             return
@@ -361,36 +358,133 @@ class AsyncIQServer:
     # -- frame processing ----------------------------------------------------
 
     def _process(self, conn):
-        """Drain every complete buffered frame, then flush in one write.
+        """Frame, dispatch and answer every complete buffered command,
+        then flush the replies in one write.
 
-        This is the loop's hottest path, so buffer state lives in locals
-        and the consumed prefix is compacted once per pass rather than
-        per frame.
+        This is the loop's hottest path, so it is one function: buffer
+        state lives in locals, the consumed prefix is compacted once per
+        pass rather than per frame, and only the rare steps -- a trace
+        token, a data command's size field, a fault site, an error --
+        call out.  A command line that announces a data block waits in
+        ``conn.pending`` until the whole block has arrived; the block is
+        consumed before the command is validated or run.
         """
         inbuf = conn.inbuf
         cap = self.max_pipeline_buffer
+        injector = self.fault_injector
+        iq = self.iq_server
         while not conn.closing:
-            if conn.pending is not None:
-                if not self._continue_data_block(conn):
-                    break
-                continue
             pos = conn.pos
-            end = inbuf.find(CRLF, pos)
-            if end == -1:
-                if len(inbuf) - pos > cap:
-                    self._overflow_close(
-                        conn,
-                        "connection buffered {} bytes, limit {}".format(
-                            len(inbuf) - pos, cap
-                        ),
+            reply = None
+            if conn.pending is None:
+                end = inbuf.find(CRLF, pos)
+                if end == -1:
+                    if len(inbuf) - pos > cap:
+                        self._overflow_close(
+                            conn,
+                            "connection buffered {} bytes, limit {}".format(
+                                len(inbuf) - pos, cap
+                            ),
+                        )
+                    break
+                conn.pos = end + 2
+                try:
+                    words = inbuf[pos:end].decode().split()
+                except UnicodeDecodeError:
+                    words = None
+                if not words:
+                    # Empty, blank or not UTF-8: the parser words the
+                    # error, which is answered like any other reply.
+                    command = None
+                    try:
+                        parse_command_line(bytes(inbuf[pos:end]))
+                    except ProtocolError as exc:
+                        reply = error_response(str(exc))
+                else:
+                    command = words[0].lower()
+                    args = words[1:]
+                    trace_id = None
+                    if args and args[-1].startswith(TRACE_TOKEN_PREFIX):
+                        args, trace_id = split_trace_token(args)
+                    if command == "quit":
+                        conn.closing = True
+                        break
+                    data = None
+                    if command in DATA_COMMANDS:
+                        try:
+                            size = data_block_size(command, args)
+                        except ProtocolError:
+                            # Unknowable byte count: the stream is beyond
+                            # repair.
+                            conn.out += (
+                                error_response("bad data block size") + CRLF
+                            )
+                            conn.closing = True
+                            break
+                        if size is not None:
+                            if size + 2 > cap:
+                                # Refused up front, before any of the
+                                # block is buffered.
+                                self._overflow_close(
+                                    conn,
+                                    "connection buffered {} bytes, limit {}"
+                                    .format(size + 2, cap),
+                                )
+                                break
+                            conn.pending = (command, args, trace_id, size)
+                            continue
+            else:
+                command, args, trace_id, size = conn.pending
+                if len(inbuf) - pos < size + 2:
+                    break
+                data = bytes(memoryview(inbuf)[pos:pos + size])
+                conn.pos = pos + size + 2
+                conn.pending = None
+                # bytearray indexing yields ints: terminator check
+                # without a slice allocation (CRLF is 0x0d 0x0a).
+                if (inbuf[pos + size] != 0x0D
+                        or inbuf[pos + size + 1] != 0x0A):
+                    # Payload not CRLF-terminated: framing is broken
+                    # (the block was still consumed first).
+                    conn.out += (
+                        error_response("data block not terminated by CRLF")
+                        + CRLF
                     )
-                break
-            # memoryview slice: one copy into the line, not two (the
-            # view is a same-expression temporary, released before the
-            # compaction below mutates the buffer).
-            line = bytes(memoryview(inbuf)[pos:end])
-            conn.pos = end + len(CRLF)
-            self._handle_line(conn, line)
+                    conn.closing = True
+                    break
+            if reply is None:
+                if (injector is not None
+                        and not self._inject_request(injector, conn,
+                                                     command)):
+                    continue
+                handler = HANDLERS.get(command)
+                if handler is None:
+                    reply = error_response(
+                        "unknown command {!r}".format(command))
+                else:
+                    try:
+                        if trace_id is None:
+                            reply = handler(iq, args, data)
+                        else:
+                            with trace_context(trace_id):
+                                reply = handler(iq, args, data)
+                    except Exception as exc:
+                        reply = exception_reply(exc)
+            if injector is not None:
+                reply = self._inject_reply(injector, conn, command, reply)
+                if reply is None:
+                    continue
+            out = conn.out
+            out += reply
+            out += CRLF
+            conn.batch += 1
+            if len(out) > cap:
+                # The peer pipelines requests but never reads replies (a
+                # half-open flooder).  There is no thread to block for
+                # backpressure; cut the connection instead of buffering
+                # replies without limit.
+                self._close_conn(conn, abrupt=True)
+                self._counts.evloop_overflow_closes += 1
         pos = conn.pos
         if pos:
             if pos == len(inbuf):
@@ -400,97 +494,6 @@ class AsyncIQServer:
                 del inbuf[:pos]
                 conn.pos = 0
         self._flush(conn)
-
-    def _handle_line(self, conn, line):
-        try:
-            command, args = parse_command_line(line)
-        except ProtocolError as exc:
-            self._append_reply(conn, error_response(str(exc)), command=None)
-            return
-        args, trace_id = split_trace_token(args)
-        if command == "quit":
-            conn.closing = True
-            return
-        try:
-            size = data_block_size(command, args)
-        except ProtocolError:
-            # Unknowable byte count: the stream is beyond repair.
-            conn.out += error_response("bad data block size") + CRLF
-            conn.closing = True
-            return
-        if size is not None:
-            if size + len(CRLF) > self.max_pipeline_buffer:
-                # Refused up front, before any of the block is buffered.
-                self._overflow_close(
-                    conn,
-                    "connection buffered {} bytes, limit {}".format(
-                        size + len(CRLF), self.max_pipeline_buffer
-                    ),
-                )
-                return
-            conn.pending = (command, args, trace_id, size)
-            return
-        self._execute(conn, command, args, trace_id, None)
-
-    def _continue_data_block(self, conn):
-        """Try to complete the pending frame; False = need more bytes."""
-        command, args, trace_id, size = conn.pending
-        needed = size + len(CRLF)
-        if conn.available() < needed:
-            return False
-        start = conn.pos
-        data = bytes(memoryview(conn.inbuf)[start:start + size])
-        # bytearray indexing yields ints: terminator check without a
-        # slice allocation (CRLF is 0x0d 0x0a).
-        broken = (conn.inbuf[start + size] != 0x0D
-                  or conn.inbuf[start + size + 1] != 0x0A)
-        conn.pos += needed
-        conn.pending = None
-        if broken:
-            # Payload not CRLF-terminated: framing is broken (the block
-            # was still consumed first, PR 1 discipline).
-            conn.out += (
-                error_response("data block not terminated by CRLF") + CRLF
-            )
-            conn.closing = True
-            return False
-        self._execute(conn, command, args, trace_id, data)
-        return True
-
-    def _execute(self, conn, command, args, trace_id, data):
-        injector = self.fault_injector
-        if injector is not None:
-            if not self._inject_request(injector, conn, command):
-                return
-        handler = HANDLERS.get(command)
-        if handler is None:
-            reply = error_response("unknown command {!r}".format(command))
-        else:
-            try:
-                if trace_id is not None:
-                    with trace_context(trace_id):
-                        reply = handler(self.iq_server, args, data)
-                else:
-                    reply = handler(self.iq_server, args, data)
-            except Exception as exc:
-                reply = exception_reply(exc)
-        self._append_reply(conn, reply, command)
-
-    def _append_reply(self, conn, reply, command):
-        injector = self.fault_injector
-        if injector is not None:
-            reply = self._inject_reply(injector, conn, command, reply)
-            if reply is None:
-                return
-        conn.out += reply + CRLF
-        conn.batch += 1
-        if len(conn.out) > self.max_pipeline_buffer:
-            # The peer pipelines requests but never reads replies (a
-            # half-open flooder).  There is no thread to block for
-            # backpressure; cut the connection instead of buffering
-            # replies without limit.
-            self._close_conn(conn, abrupt=True)
-            self._counts.evloop_overflow_closes += 1
 
     def _overflow_close(self, conn, message):
         conn.out += error_response(message) + CRLF

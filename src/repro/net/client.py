@@ -82,18 +82,13 @@ class RemoteIQServer(commands.surface("_execute", skip_empty=True),
         self._reader = LineReader(self._sock, injector=injector)
         self._lock = threading.Lock()
         self._injector = injector
-        self._broken = False
-        #: verb whose reply is being read (names it in a poison report)
-        self._doing = None
+        #: True once the connection is poisoned and must be replaced (a
+        #: plain attribute: the pool reads it on every check-out).
+        self.broken = False
         self._tracer = get_tracer()
 
-    @property
-    def broken(self):
-        """True once the connection is poisoned and must be replaced."""
-        return self._broken
-
     def close(self):
-        if not self._broken:
+        if not self.broken:
             try:
                 self._sock.sendall(b"quit" + CRLF)
             except OSError:
@@ -125,14 +120,14 @@ class RemoteIQServer(commands.surface("_execute", skip_empty=True),
 
     def mark_broken(self):
         """Poison without raising (the caller raises its own error)."""
-        self._broken = True
+        self.broken = True
         try:
             self._sock.close()
         except OSError:
             pass
 
     def _check_usable(self):
-        if self._broken:
+        if self.broken:
             raise ConnectionLostError(
                 "connection is poisoned by an earlier failure; reconnect"
             )
@@ -162,24 +157,6 @@ class RemoteIQServer(commands.surface("_execute", skip_empty=True),
                 "awaiting reply",
             )
 
-    def read_line(self):
-        """One reply line of the command being received (for parsers)."""
-        try:
-            return self._reader.read_line()
-        except (OSError, ConnectionError) as exc:
-            self._poison(exc, self._doing)
-
-    def read_bytes(self, count):
-        """One announced data block of the command being received."""
-        try:
-            return self._reader.read_bytes(count)
-        except ProtocolError:
-            # The stream is desynchronized; nobody may read from it again.
-            self.mark_broken()
-            raise
-        except (OSError, ConnectionError) as exc:
-            self._poison(exc, self._doing)
-
     def _trace_suffix(self):
         """Trailing ``@t<id>`` token, or ``""`` outside any trace.
 
@@ -205,14 +182,21 @@ class RemoteIQServer(commands.surface("_execute", skip_empty=True),
         """Send one command frame and parse its one reply.
 
         Every single command takes this path, so it is written out in
-        one frame: fault sites fire around the write, and the first
-        reply line comes straight off the reader -- the same steps as
-        :meth:`_execute_pipeline` with :meth:`_receive`, for one frame.
+        one frame: it encodes the request as :meth:`_frame` does, fires
+        the fault sites around the write, and reads the reply through
+        :meth:`_receive`'s steps -- the same as :meth:`_execute_pipeline`
+        for one frame.
         """
-        payload = self._frame(*cmd.encode(*args))
+        line, data = cmd.encode(*args)
+        if self._tracer.active:
+            line += self._trace_suffix()
+        if data is None:
+            payload = line.encode() + CRLF
+        else:
+            payload = b"".join((line.encode(), CRLF, data, CRLF))
         verb = cmd.verb
         with self._lock:
-            if self._broken:
+            if self.broken:
                 self._check_usable()
             injector = self._injector
             if injector is not None:
@@ -223,14 +207,18 @@ class RemoteIQServer(commands.surface("_execute", skip_empty=True),
                 self._poison(exc, verb)
             if injector is not None:
                 self._inject_after_send(verb)
-            self._doing = verb
+            reader = self._reader
             try:
-                first = self._reader.read_line()
+                first = reader.read_line()
+                if first.startswith(ERROR_PREFIXES):
+                    raise reply_error(first)
+                return cmd.parse(reader, first, args)
             except (OSError, ConnectionError) as exc:
                 self._poison(exc, verb)
-            if first.startswith(ERROR_PREFIXES):
-                raise reply_error(first)
-            return cmd.parse(self, first, args)
+            except ProtocolError:
+                # The stream is desynchronized; nobody may read it again.
+                self.mark_broken()
+                raise
 
     def _receive(self, cmd, args):
         """Read one pipelined command's reply (:meth:`_execute` does the
@@ -240,11 +228,11 @@ class RemoteIQServer(commands.surface("_execute", skip_empty=True),
         leaves the stream in step; ``cmd.parse`` only ever sees the
         command's own reply forms.
         """
-        self._doing = cmd.verb
-        first = self.read_line()
+        reader = self._reader
+        first = reader.read_line()
         if first.startswith(ERROR_PREFIXES):
             raise reply_error(first)
-        return cmd.parse(self, first, args)
+        return cmd.parse(reader, first, args)
 
     def _execute_pipeline(self, ops):
         """Send every queued frame in one write, then parse the replies.
@@ -274,9 +262,10 @@ class RemoteIQServer(commands.surface("_execute", skip_empty=True),
                     results.append(self._receive(cmd, args))
                 except REFUSALS as exc:
                     results.append(exc)
+                except (OSError, ConnectionError) as exc:
+                    self._poison(exc, cmd.verb)
                 except ProtocolError:
-                    if not self._broken:
-                        self.mark_broken()
+                    self.mark_broken()
                     raise
             return results
 

@@ -44,10 +44,13 @@ class Command(NamedTuple):
     #: ``(*method args) -> (line, data)``.  Its signature *is* the public
     #: method signature: the generated methods copy it.
     encode: Callable
-    #: ``(conn, first_line, args) -> result``: reads the rest of one
-    #: reply off ``conn`` (``read_line``/``read_bytes``).  ``first_line``
-    #: is never an error reply -- the client's one reply path raised
-    #: those already.  ``args`` are the method's positional arguments.
+    #: ``(reader, first_line, args) -> result``: reads the rest of one
+    #: reply off the connection's :class:`~repro.net.protocol.LineReader`
+    #: (``read_line``/``read_bytes``/``read_block``).  ``first_line`` is
+    #: never an error reply -- the client's one reply path raised those
+    #: already -- and the client turns what the reader raises into a
+    #: poisoned connection.  ``args`` are the method's positional
+    #: arguments.
     parse: Callable
     #: Server side: ``(iq, args, data) -> reply bytes`` without the CRLF.
     handle: Callable
@@ -113,7 +116,8 @@ def surface(via, skip_empty=False):
 
     Each method packs its arguments and calls ``self.<via>(cmd, args)``.
     ``skip_empty`` answers an empty ``keys`` list locally from
-    ``cmd.empty`` (the single-command client; a pipeline must still
+    ``cmd.empty`` (the single-command surfaces, whose call paths then
+    reach ``RemoteIQServer._execute`` directly; a pipeline must still
     queue a frame so the command keeps its result slot).  A mixin rather
     than ``setattr`` on the finished class, so an ``abc.ABC`` subclass
     sees its abstract methods satisfied at class creation.
@@ -152,22 +156,12 @@ def unregister(cmd):
 
 def _word(word):
     """Parser for a one-line reply: true iff the line is ``word``."""
-    def parse(conn, first, args):
+    def parse(reader, first, args):
         return first == word
     return parse
 
 
-def _read_block(conn, parts, size_at):
-    """The data block a ``VALUE``/``CVALUE`` header announces (END-checked)."""
-    value = conn.read_bytes(int(parts[size_at]))
-    if conn.read_line() != b"END":
-        conn.mark_broken()
-        raise ProtocolError(
-            "missing END after {} block".format(parts[0].decode()))
-    return value
-
-
-def _parse_store_result(conn, first, args):
+def _parse_store_result(reader, first, args):
     return StoreResult(first.decode())
 
 
@@ -184,11 +178,11 @@ STORE_REPLIES = {
 def _retrieve(verb, header):
     """``get``/``gets``: a hit is ``(value, flags)`` plus, for ``gets``, the
     cas id, both in the store's result and on the ``VALUE`` line."""
-    def parse(conn, first, args):
+    def parse(reader, first, args):
         if not first.startswith(b"VALUE "):
             return None
         parts = first.split()
-        value = _read_block(conn, parts, 3)
+        value = reader.read_block(int(parts[3]), parts[0])
         return (value, int(parts[2]), *map(int, parts[4:]))
 
     def handle(iq, args, data):
@@ -294,7 +288,7 @@ register(Command(
 
 
 def _arith(verb):
-    def parse(conn, first, args):
+    def parse(reader, first, args):
         return None if first == b"NOT_FOUND" else int(first)
 
     def handle(iq, args, data):
@@ -339,12 +333,12 @@ register(Command(
 ))
 
 
-def _parse_stats(conn, line, args):
+def _parse_stats(reader, line, args):
     result = {}
     while line != b"END":
         _stat, name, value = line.decode().split()
         result[name] = int(value)
-        line = conn.read_line()
+        line = reader.read_line()
     return result
 
 
@@ -363,7 +357,7 @@ register(Command(
 ))
 
 
-def _parse_version(conn, first, args):
+def _parse_version(reader, first, args):
     return first.decode().split(" ", 1)[1]
 
 
@@ -380,7 +374,7 @@ register(Command(
 
 # -- IQ extensions (one per Section 5 primitive) -----------------------------
 
-def _parse_genid(conn, first, args):
+def _parse_genid(reader, first, args):
     if not first.startswith(b"ID "):
         raise ProtocolError("bad genid reply {!r}".format(first))
     return int(first.split()[1])
@@ -403,9 +397,10 @@ def _enc_iq_get(key, session=None):
     return line, None
 
 
-def _parse_iq_get(conn, first, args):
+def _parse_iq_get(reader, first, args):
     if first.startswith(b"VALUE "):
-        return IQGetResult(value=_read_block(conn, first.split(), 3))
+        parts = first.split()
+        return IQGetResult(value=reader.read_block(int(parts[3]), parts[0]))
     if first.startswith(b"LEASE "):
         return IQGetResult(token=int(first.split()[1]))
     if first == b"BACKOFF":
@@ -418,9 +413,11 @@ def _parse_iq_get(conn, first, args):
 def _h_iqget(iq, args, data):
     session = int(args[1]) if len(args) > 1 else None
     result = iq.iq_get(args[0], session=session)
-    if result.is_hit:
+    # Attribute tests, not the ``is_hit``/``has_lease`` properties: this
+    # is the one handler every warm read runs.
+    if result.value is not None:
         return value_block(args[0], result.value)
-    if result.has_lease:
+    if result.token is not None:
         return b"LEASE %d" % result.token
     return b"BACKOFF" if result.backoff else b"MISS"
 
@@ -464,11 +461,12 @@ register(Command(
 ))
 
 
-def _parse_qaread(conn, first, args):
+def _parse_qaread(reader, first, args):
     if first == b"ABORT":
         raise QuarantinedError(args[0])
     if first.startswith(b"VALUE "):
-        return QaReadResult(_read_block(conn, first.split(), 3))
+        parts = first.split()
+        return QaReadResult(reader.read_block(int(parts[3]), parts[0]))
     if first == b"MISS":
         return QaReadResult(None)
     raise ProtocolError("bad qaread reply {!r}".format(first))
@@ -499,7 +497,7 @@ def _enc_sar(key, value, tid):
     return "sar {} {} {}".format(key, tid, len(value)), value
 
 
-def _parse_sar(conn, first, args):
+def _parse_sar(reader, first, args):
     return first == (b"RELEASED" if args[1] is None else b"STORED")
 
 
@@ -517,7 +515,7 @@ register(Command(
 ))
 
 
-def _parse_lease_grant(conn, first, args):
+def _parse_lease_grant(reader, first, args):
     """GRANTED-or-ABORT replies (``qar``, ``iqdelta``: ``(tid, key, ...)``)."""
     if first == b"ABORT":
         raise QuarantinedError(args[1])
@@ -589,11 +587,11 @@ def _enc_cget(key, clock_now, extend=None):
     return line, None
 
 
-def _parse_cget(conn, first, args):
+def _parse_cget(reader, first, args):
     if first.startswith(b"CVALUE "):
         parts = first.split()
         return ClockGetResult(
-            value=_read_block(conn, parts, 5),
+            value=reader.read_block(int(parts[5]), parts[0]),
             flags=int(parts[2]),
             valid_from=int(parts[3]),
             valid_until=int(parts[4]),
@@ -659,7 +657,7 @@ def _enc_iq_mget(keys, session=None):
     return line, None
 
 
-def _parse_iq_mget(conn, line, args):
+def _parse_iq_mget(reader, line, args):
     results = {}
     while line != b"END":
         parts = line.split()
@@ -667,7 +665,7 @@ def _parse_iq_mget(conn, line, args):
             raise ProtocolError("bad iqmget reply line {!r}".format(line))
         word, key = parts[0], parts[1].decode()
         if word == b"VALUE":
-            results[key] = IQGetResult(value=conn.read_bytes(int(parts[3])))
+            results[key] = IQGetResult(value=reader.read_bytes(int(parts[3])))
         elif word == b"LEASE":
             results[key] = IQGetResult(token=int(parts[2]))
         elif word == b"MISS":
@@ -676,7 +674,7 @@ def _parse_iq_mget(conn, line, args):
             results[key] = IQGetResult(backoff=True)
         else:
             raise ProtocolError("bad iqmget reply line {!r}".format(line))
-        line = conn.read_line()
+        line = reader.read_line()
     return results
 
 
@@ -723,7 +721,7 @@ def _enc_qar_many(tid, keys):
     return "qareg {} {}".format(tid, " ".join(keys)), None
 
 
-def _parse_qar_many(conn, line, args):
+def _parse_qar_many(reader, line, args):
     results = {}
     while line != b"END":
         parts = line.split()
@@ -731,7 +729,7 @@ def _parse_qar_many(conn, line, args):
         if status is None or len(parts) != 2:
             raise ProtocolError("bad qareg reply line {!r}".format(line))
         results[parts[1].decode()] = status
-        line = conn.read_line()
+        line = reader.read_line()
     return results
 
 
@@ -757,7 +755,7 @@ def _enc_mdelete(keys):
     return "mdelete {}".format(" ".join(keys)), None
 
 
-def _parse_mdelete(conn, first, args):
+def _parse_mdelete(reader, first, args):
     if not first.startswith(b"DELETED "):
         raise ProtocolError("bad mdelete reply {!r}".format(first))
     return int(first.split()[1])
@@ -783,14 +781,14 @@ def _enc_key_snapshot():
     return "keysnap", None
 
 
-def _parse_key_snapshot(conn, line, args):
+def _parse_key_snapshot(reader, line, args):
     keys = []
     while line != b"END":
         parts = line.split()
         if len(parts) != 2 or parts[0] != b"KEY":
             raise ProtocolError("bad keysnap reply line {!r}".format(line))
         keys.append(parts[1].decode())
-        line = conn.read_line()
+        line = reader.read_line()
     return keys
 
 

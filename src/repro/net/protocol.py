@@ -108,16 +108,11 @@ class LineReader:
         if rule.action is FaultAction.CORRUPT:
             self._corrupt_armed = True
 
-    def _compact(self):
-        if (self._pos >= self._COMPACT_THRESHOLD
-                and self._pos * 2 >= len(self._buffer)):
-            del self._buffer[:self._pos]
-            self._pos = 0
-
     def read_line(self):
         """Read one CRLF-terminated line (returned without the CRLF)."""
+        buffer = self._buffer
         while True:
-            end = self._buffer.find(CRLF, self._pos)
+            end = buffer.find(CRLF, self._pos)
             if end != -1:
                 break
             self._fill()
@@ -125,28 +120,64 @@ class LineReader:
         # where a bytearray slice would copy twice (slice, then bytes).
         # The view is a same-expression temporary, released before any
         # buffer mutation (an exported view pins a bytearray's size).
-        line = bytes(memoryview(self._buffer)[self._pos:end])
-        self._pos = end + len(CRLF)
-        self._compact()
+        line = bytes(memoryview(buffer)[self._pos:end])
+        pos = self._pos = end + 2
+        if pos >= self._COMPACT_THRESHOLD and pos * 2 >= len(buffer):
+            del buffer[:pos]
+            self._pos = 0
         return line
 
     def read_bytes(self, count):
         """Read exactly ``count`` bytes plus the trailing CRLF."""
+        buffer = self._buffer
         # Compare *available* bytes, not absolute buffer length: _fill()
         # may compact the consumed prefix away (resetting _pos), so any
         # absolute index computed before the loop would go stale.
-        while len(self._buffer) - self._pos < count + len(CRLF):
+        while len(buffer) - self._pos < count + 2:
             self._fill()
         start = self._pos
-        data = bytes(memoryview(self._buffer)[start:start + count])
+        data = bytes(memoryview(buffer)[start:start + count])
         # Indexing a bytearray yields ints -- the terminator check costs
         # no allocation at all (CRLF is 0x0d 0x0a).
-        if (self._buffer[start + count] != 0x0D
-                or self._buffer[start + count + 1] != 0x0A):
+        if (buffer[start + count] != 0x0D
+                or buffer[start + count + 1] != 0x0A):
             raise ProtocolError("data block not terminated by CRLF")
-        self._pos = start + count + len(CRLF)
-        self._compact()
+        pos = self._pos = start + count + 2
+        if pos >= self._COMPACT_THRESHOLD and pos * 2 >= len(buffer):
+            del buffer[:pos]
+            self._pos = 0
         return data
+
+    def read_block(self, count, header):
+        """The ``count``-byte data block of a ``VALUE``/``CVALUE`` reply,
+        with its ``END`` line.
+
+        When the block and its trailer are already buffered, one
+        ``startswith`` checks ``\\r\\nEND\\r\\n`` and one slice takes the
+        data.  Otherwise (a torn delivery, or a trailer that is not
+        ``END``) it reads the block and the ``END`` line one at a time,
+        which raise the same errors they always did.  ``header`` is the
+        reply's first word, named in the error.
+        """
+        buffer = self._buffer
+        start = self._pos
+        stop = start + count
+        if count >= 0 and buffer.startswith(_BLOCK_TRAILER, stop):
+            data = bytes(memoryview(buffer)[start:stop])
+            pos = self._pos = stop + len(_BLOCK_TRAILER)
+            if pos >= self._COMPACT_THRESHOLD and pos * 2 >= len(buffer):
+                del buffer[:pos]
+                self._pos = 0
+            return data
+        data = self.read_bytes(count)
+        if self.read_line() != b"END":
+            raise ProtocolError(
+                "missing END after {} block".format(header.decode()))
+        return data
+
+
+#: What follows a retrieval reply's data block: its CRLF and ``END``.
+_BLOCK_TRAILER = b"\r\nEND\r\n"
 
 
 #: Prefix of the optional trailing trace token on a request line.
@@ -189,7 +220,12 @@ def split_trace_token(args):
 
 
 def parse_command_line(line):
-    """Split a request line into (command, args).  Command is lowercased."""
+    """Split a request line into (command, args).  Command is lowercased.
+
+    ``AsyncIQServer._process`` splits a well-formed line the same way
+    inline and calls this only to word the error for an empty, blank or
+    non-UTF-8 one.
+    """
     if not line:
         raise ProtocolError("empty command line")
     try:

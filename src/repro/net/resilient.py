@@ -76,6 +76,11 @@ class CircuitBreaker:
         self._state = CircuitState.CLOSED
         self._consecutive_failures = 0
         self._opened_at = None
+        #: Closed with no failure counted: :meth:`allow` and
+        #: :meth:`record_success` would change nothing.  Written under the
+        #: lock on every transition, read without it (a call racing a
+        #: trip went first), so a caller skips both on a healthy circuit.
+        self.healthy = True
         self._tracer = get_tracer()
         #: lifetime counters for reporting
         self.times_opened = 0
@@ -112,6 +117,7 @@ class CircuitBreaker:
 
     def record_failure(self):
         with self._lock:
+            self.healthy = False
             self._consecutive_failures += 1
             tripped = (
                 self._state == CircuitState.HALF_OPEN
@@ -132,18 +138,18 @@ class CircuitBreaker:
         """Note a successful call; returns True when this closed a
         previously-open circuit (the recovery moment).
 
-        Closed with no failures counted, a success changes nothing, so
-        that state is read without the lock; every transition and every
-        reset still happens under it.
+        Closed with no failures counted (:attr:`healthy`), a success
+        changes nothing, so that state is read without the lock; every
+        transition and every reset still happens under it.
         """
-        if (self._state == CircuitState.CLOSED
-                and self._consecutive_failures == 0):
+        if self.healthy:
             return False
         with self._lock:
             recovered = self._state != CircuitState.CLOSED
             self._state = CircuitState.CLOSED
             self._consecutive_failures = 0
             self._opened_at = None
+            self.healthy = True
             if recovered:
                 self.times_recovered += 1
                 if self._tracer.active:
@@ -160,26 +166,30 @@ class ReconciliationJournal:
 
     def __init__(self):
         self._lock = threading.Lock()
-        self._keys = set()
+        #: The journaled keys.  Read without the lock only to ask whether
+        #: it is empty (before every call): a key journaled concurrently
+        #: is ordered after that call, and a lock would not change that,
+        #: as it is released before the call goes on.
+        self.keys = set()
         self.total_journaled = 0
         self.total_reconciled = 0
 
     def add(self, keys):
         with self._lock:
             for key in keys:
-                if key not in self._keys:
-                    self._keys.add(key)
+                if key not in self.keys:
+                    self.keys.add(key)
                     self.total_journaled += 1
 
     def drain(self):
         with self._lock:
-            keys = sorted(self._keys)
-            self._keys.clear()
+            keys = sorted(self.keys)
+            self.keys.clear()
             return keys
 
     def peek(self):
         with self._lock:
-            return sorted(self._keys)
+            return sorted(self.keys)
 
     def mark_reconciled(self, count):
         with self._lock:
@@ -188,18 +198,14 @@ class ReconciliationJournal:
     def remove(self, keys):
         """Forget ``keys`` (they were confirmed deleted from the cache)."""
         with self._lock:
-            self._keys.difference_update(keys)
+            self.keys.difference_update(keys)
 
     def __len__(self):
         with self._lock:
-            return len(self._keys)
+            return len(self.keys)
 
     def __bool__(self):
-        # Asked before every call: one read of the set, no lock.  A key
-        # journaled concurrently is ordered after this call; a lock
-        # would not change that, as it is released before the call goes
-        # on.
-        return bool(self._keys)
+        return bool(self.keys)
 
 
 class ConnectionPool:
@@ -292,7 +298,8 @@ class ConnectionPool:
         except BaseException:
             with self._lock:
                 self._total -= 1
-                self._wake_one()
+                if self._waiting:
+                    self._cond.notify()
             raise
         with self._lock:
             self._known.add(conn)
@@ -312,7 +319,9 @@ class ConnectionPool:
             else:
                 self._idle[conn] = None
                 conn = None
-            self._wake_one()
+            # Settlements notify only while a caller waits in acquire().
+            if self._waiting:
+                self._cond.notify()
         if conn is not None:
             self._close_quietly(conn)
 
@@ -327,7 +336,8 @@ class ConnectionPool:
                 return
             self._idle.pop(conn, None)
             self._forget(conn)
-            self._wake_one()
+            if self._waiting:
+                self._cond.notify()
         self._close_quietly(conn)
 
     def close(self):
@@ -346,11 +356,6 @@ class ConnectionPool:
         self._known.discard(conn)
         self._total -= 1
 
-    def _wake_one(self):
-        """Hand a freed slot or idle connection to a waiter (lock held)."""
-        if self._waiting:
-            self._cond.notify()
-
     @staticmethod
     def _close_quietly(conn):
         try:
@@ -359,7 +364,8 @@ class ConnectionPool:
             pass
 
 
-class ResilientIQServer(commands.surface("_call"), LeaseBackend):
+class ResilientIQServer(commands.surface("_call", skip_empty=True),
+                        LeaseBackend):
     """Self-healing drop-in for :class:`RemoteIQServer`."""
 
     def __init__(self, host="127.0.0.1", port=11211, config=None,
@@ -459,13 +465,17 @@ class ResilientIQServer(commands.surface("_call"), LeaseBackend):
         """
         attempts_left = self.config.max_retries if cmd.idempotent else 0
         delays = None
+        circuit = self.circuit
+        journal = self.journal
         while True:
             conn = None
             try:
-                self.circuit.allow()
+                if not circuit.healthy:
+                    circuit.allow()
                 conn = self._pool.acquire()
-                self._ensure_reconciled(conn)
-                result = getattr(conn, cmd.name)(*args)
+                if journal.keys:
+                    self._ensure_reconciled(conn)
+                result = conn._execute(cmd, args)
             except (ConnectionLostError, OperationTimeout):
                 if conn is not None:
                     self._pool.discard(conn)
@@ -497,7 +507,8 @@ class ResilientIQServer(commands.surface("_call"), LeaseBackend):
                     self._pool.release(conn)
                 raise
             self._pool.release(conn)
-            self.circuit.record_success()
+            if not circuit.healthy:
+                circuit.record_success()
             return result
 
     def _ensure_reconciled(self, conn):

@@ -719,8 +719,10 @@ class ShardedIQServer(LeaseBackend):
 
     def iq_get(self, key, session=None):
         name = self.ring.node_for(key)
-        shard_session = self._translate(session, name)
-        return self._backends[name].iq_get(key, session=shard_session)
+        if session is None:
+            return self._backends[name].iq_get(key)
+        return self._backends[name].iq_get(
+            key, session=self._translate(session, name))
 
     def iq_mget(self, keys, session=None):
         """Bulk ``IQget``: one batched call per owning shard.

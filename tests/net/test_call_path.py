@@ -1,16 +1,29 @@
 """The resilient call path's shared state under contention: the pool
 never hands one connection to two callers and settles every slot once,
-and the breaker's lock-free reads never skip a failure-count reset."""
+and the breaker's lock-free reads never skip a failure-count reset.
 
+And its length: a warm read runs within a budget of Python frames on
+each side of the wire (:class:`TestFrameBudget`)."""
+
+import os
 import random
 import sys
 import threading
 
 import pytest
 
+import repro
+from repro.core.iq_server import IQServer
 from repro.errors import CircuitOpenError
-from repro.net import ConnectionPool
-from repro.net.resilient import CircuitBreaker, CircuitState
+from repro.net import ConnectionPool, client, commands
+from repro.net.async_server import AsyncIQServer, _Connection
+from repro.net.client import Pipeline, RemoteIQServer
+from repro.net.resilient import (
+    CircuitBreaker,
+    CircuitState,
+    ResilientIQServer,
+)
+from repro.sharding.router import ShardedIQServer
 from repro.util.clock import LogicalClock
 
 POOL_SIZE = 2
@@ -190,3 +203,152 @@ class TestBreakerCounts:
         assert breaker.times_recovered == 1
         assert breaker.record_success() is False
         assert breaker.times_recovered == 1
+
+    def test_healthy_flag_settles_with_the_state(self):
+        """``healthy`` is what the call path reads instead of the lock:
+        after any mix of racing calls it says closed-with-no-failures
+        exactly when the breaker is."""
+        clock = LogicalClock()
+        breaker = CircuitBreaker(failure_threshold=3, cooldown=0.0,
+                                 clock=clock)
+        errors = []
+
+        def worker(index):
+            rng = random.Random(index)
+            try:
+                for _ in range(ROUNDS):
+                    step = rng.random()
+                    if step < 0.4:
+                        breaker.record_failure()
+                    elif step < 0.8:
+                        breaker.record_success()
+                    elif not breaker.healthy:
+                        try:
+                            breaker.allow()
+                        except CircuitOpenError:
+                            pass
+            except Exception as exc:  # surfaced below
+                errors.append(exc)
+
+        threads = [threading.Thread(target=worker, args=(i,))
+                   for i in range(THREADS)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not errors
+        assert breaker.healthy == (
+            breaker.state == CircuitState.CLOSED
+            and breaker._consecutive_failures == 0)
+        breaker.record_success()
+        assert breaker.healthy and breaker.state == CircuitState.CLOSED
+        breaker.record_failure()
+        assert not breaker.healthy
+
+
+# -- frame budget -----------------------------------------------------------
+
+#: Python frames of ``repro`` code one warm ``iq_get`` hit may enter on
+#: the client: router -> resilient -> wire client and its reply parser.
+CLIENT_FRAME_BUDGET = 15
+#: ... and one warm ``iqget`` hit on the shard: framing, dispatch, the
+#: handler, the IQ server and store lookups, formatting and the flush.
+SHARD_FRAME_BUDGET = 8
+
+_REPRO_ROOT = os.path.dirname(repro.__file__) + os.sep
+#: The generated command methods compile from strings, not files.
+_STUB_CODES = frozenset(
+    getattr(surface, name).__code__
+    for surface in (RemoteIQServer, ResilientIQServer, Pipeline)
+    for name in commands.COMMANDS
+)
+
+
+def repro_frames(call):
+    """``(result, frames)``: the ``repro`` frames ``call()`` enters, in
+    order, generated surface stubs included."""
+    entered = []
+
+    def profile(frame, event, _arg):
+        if event == "call":
+            code = frame.f_code
+            if (code.co_filename.startswith(_REPRO_ROOT)
+                    or code in _STUB_CODES):
+                entered.append("{}:{}".format(
+                    os.path.basename(code.co_filename), code.co_name))
+
+    sys.setprofile(profile)
+    try:
+        result = call()
+    finally:
+        sys.setprofile(None)
+    return result, entered
+
+
+class _EchoSocket:
+    """A connected socket whose peer answers every request with ``reply``."""
+
+    def __init__(self, reply):
+        self._reply = reply
+        self._pending = b""
+
+    def setsockopt(self, *args):
+        pass
+
+    def sendall(self, data):
+        self._pending += self._reply
+
+    def recv(self, size):
+        chunk, self._pending = self._pending, b""
+        return chunk
+
+    def close(self):
+        pass
+
+
+class _SinkSocket:
+    """An accepted socket that takes every reply whole."""
+
+    def fileno(self):
+        return 1_000_000
+
+    def send(self, data):
+        return len(data)
+
+
+class TestFrameBudget:
+    def test_client_iq_get_hit(self, monkeypatch):
+        monkeypatch.setattr(
+            client.socket, "create_connection",
+            lambda *args, **kwargs: _EchoSocket(
+                b"VALUE user:1 0 5\r\nhello\r\nEND\r\n"))
+        router = ShardedIQServer([ResilientIQServer(port=1),
+                                  ResilientIQServer(port=2)])
+        assert router.iq_get("user:1").value == b"hello"  # dial, memoize
+        result, frames = repro_frames(lambda: router.iq_get("user:1"))
+        assert result.value == b"hello"
+        assert len(frames) <= CLIENT_FRAME_BUDGET, frames
+        router.close()
+
+    def test_shard_iqget_hit(self):
+        server = AsyncIQServer(iq_server=IQServer())
+        try:
+            server.iq_server.store.set("user:1", b"hello")
+            conn = _Connection(_SinkSocket())
+
+            def one_iqget():
+                conn.inbuf += b"iqget user:1\r\n"
+                server._process(conn)
+
+            one_iqget()
+            _result, frames = repro_frames(one_iqget)
+            assert conn.pos == 0 and not conn.out and not conn.closing
+            assert len(frames) <= SHARD_FRAME_BUDGET, frames
+        finally:
+            server.server_close()

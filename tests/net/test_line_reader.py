@@ -5,12 +5,16 @@ memoryview; these tests pin the boundary cases that path must not
 regress -- frames torn at arbitrary byte positions, CRLF split across
 ``recv`` calls, compaction kicking in mid-stream -- and check
 frame-for-frame parity over the wire server's golden-transcript corpus
-between whole-stream and byte-at-a-time delivery.
+between whole-stream and byte-at-a-time delivery.  ``read_block``
+(a retrieval reply's data block and its ``END`` line) must answer a
+torn delivery, a foreign trailer and a block that holds the trailer's
+bytes exactly as reading the block and the line one by one would.
 """
 
 import pytest
 
-from repro.errors import ProtocolError
+from repro.errors import ConnectionLostError, ProtocolError
+from repro.net import client
 from repro.net.protocol import DATA_COMMANDS, LineReader
 
 from tests.net.test_transport_parity import CORPUS
@@ -141,6 +145,86 @@ class TestPipelinedBursts:
         for i in range(100):
             assert reader.read_line() == b"iqset key%d 1 %d" % (i, 10 + i % 7)
             assert reader.read_bytes(10 + i % 7) == b"x" * (10 + i % 7)
+
+
+class ScriptedConnection(ScriptedSock):
+    """A socket ``RemoteIQServer`` can be built over: every request is
+    accepted, every reply comes from the script."""
+
+    def setsockopt(self, *args):
+        pass
+
+    def sendall(self, data):
+        pass
+
+    def close(self):
+        pass
+
+
+def remote_over(monkeypatch, chunks):
+    monkeypatch.setattr(client.socket, "create_connection",
+                        lambda *args, **kwargs: ScriptedConnection(chunks))
+    return client.RemoteIQServer(port=1)
+
+
+class TestValueBlocks:
+    """``read_block``: a ``VALUE``/``CVALUE`` data block and its ``END``
+    line, in one slice when buffered, one read at a time when torn."""
+
+    def test_end_arrives_in_a_later_recv(self):
+        reader = LineReader(ScriptedSock(
+            [b"VALUE k 0 5\r\nhello\r\n", b"EN", b"D\r\nSTORED\r\n"]))
+        assert reader.read_line() == b"VALUE k 0 5"
+        assert reader.read_block(5, b"VALUE") == b"hello"
+        assert reader.read_line() == b"STORED"
+
+    def test_whole_block_buffered(self):
+        reader = reader_for(b"VALUE k 0 5\r\nhello\r\nEND\r\nSTORED\r\n")
+        assert reader.read_line() == b"VALUE k 0 5"
+        assert reader.read_block(5, b"VALUE") == b"hello"
+        assert reader.read_line() == b"STORED"
+
+    def test_data_holding_the_trailer_is_read_by_its_length(self):
+        payload = b"a\r\nEND\r\nb\r\nEND\r\n"
+        stream = b"VALUE k 0 %d\r\n%s\r\nEND\r\nMISS\r\n" % (
+            len(payload), payload)
+        for chunk in (None, 1, 5):
+            reader = reader_for(stream, chunk=chunk)
+            assert reader.read_line() == b"VALUE k 0 %d" % len(payload)
+            assert reader.read_block(len(payload), b"VALUE") == payload
+            assert reader.read_line() == b"MISS"
+
+    @pytest.mark.parametrize("chunk", [None, 1])
+    @pytest.mark.parametrize("trailer, error", [
+        (b"\r\nEXD\r\n", "missing END after VALUE block"),
+        (b"\r\nSTORED\r\n", "missing END after VALUE block"),
+        (b"XXEND\r\n", "data block not terminated by CRLF"),
+    ])
+    def test_other_trailer_raises(self, trailer, error, chunk):
+        reader = reader_for(b"hello" + trailer, chunk=chunk)
+        with pytest.raises(ProtocolError, match=error):
+            reader.read_block(5, b"VALUE")
+
+    @pytest.mark.parametrize("chunks", [
+        [b"VALUE k 0 5\r\nhello\r\nENX\r\n"],
+        [b"VALUE k 0 5\r\nhel", b"lo\r\nENX\r\n"],
+    ])
+    def test_other_trailer_poisons_the_connection(self, monkeypatch,
+                                                  chunks):
+        remote = remote_over(monkeypatch, chunks)
+        with pytest.raises(ProtocolError, match="missing END after VALUE"):
+            remote.iq_get("k")
+        assert remote.broken
+        with pytest.raises(ConnectionLostError):
+            remote.iq_get("k")
+
+    def test_cvalue_block(self, monkeypatch):
+        remote = remote_over(monkeypatch, [
+            b"CVALUE k 3 10 20 5\r\nhel", b"lo\r\nEND\r\n"])
+        result = remote.cget("k", 12)
+        assert (result.value, result.flags) == (b"hello", 3)
+        assert (result.valid_from, result.valid_until) == (10, 20)
+        assert not remote.broken
 
 
 @pytest.mark.parametrize("name", sorted(CORPUS))
